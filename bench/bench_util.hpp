@@ -27,7 +27,6 @@
 #include "net/corpnet.hpp"
 #include "net/hier_as.hpp"
 #include "net/transit_stub.hpp"
-#include "overlay/driver.hpp"
 #include "overlay/sharded_driver.hpp"
 #include "trace/churn_generators.hpp"
 
@@ -314,30 +313,9 @@ inline std::uint64_t summary_digest(const RunSummary& s) {
 }
 
 /// Summarise a driver that has already run (for benches that construct
-/// their own OverlayDriver, e.g. to attach apps or read series).
-inline RunSummary summarize(overlay::OverlayDriver& driver,
-                            double wall_seconds) {
-  RunSummary s;
-  s.wall_seconds = wall_seconds;
-  s.executed_events = driver.sim().executed_events();
-  s.events_per_sec =
-      s.wall_seconds > 0 ? s.executed_events / s.wall_seconds : 0.0;
-  auto& m = driver.metrics();
-  s.rdp = m.mean_rdp();
-  s.rdp_p50 = m.rdp_samples().quantile(0.5);
-  s.control_traffic = m.control_traffic_rate();
-  s.loss_rate = m.loss_rate();
-  s.incorrect_rate = m.incorrect_delivery_rate();
-  s.lookups = m.lookups_issued();
-  s.join_latency_p50 = m.join_latency_samples().quantile(0.5);
-  s.join_latency_p95 = m.join_latency_samples().quantile(0.95);
-  s.counters = driver.counters();
-  s.digest = summary_digest(s);
-  return s;
-}
-
-/// Summarise a sharded-driver run: same shape, so single-threaded and
-/// sharded runs of the sharded harness can be digest-compared row to row.
+/// their own ShardedDriver, e.g. to attach apps or read series). The
+/// digest does not depend on the shard count, so 1-shard and N-shard
+/// rows can be compared one to one.
 inline RunSummary summarize(overlay::ShardedDriver& driver,
                             double wall_seconds) {
   RunSummary s;
@@ -359,14 +337,15 @@ inline RunSummary summarize(overlay::ShardedDriver& driver,
   return s;
 }
 
-/// Run one trace-driven experiment and summarise.
+/// Run one trace-driven experiment on the keyed engine at one shard and
+/// summarise.
 inline RunSummary run_experiment(TopologyKind kind,
                                  const overlay::DriverConfig& dcfg,
                                  const trace::ChurnTrace& trace,
                                  double loss_rate = 0.0) {
   WallTimer timer;
-  overlay::OverlayDriver driver(make_topology(kind),
-                                make_net_config(kind, loss_rate), dcfg);
+  overlay::ShardedDriver driver(make_topology(kind),
+                                make_net_config(kind, loss_rate), dcfg, 1);
   driver.run_trace(trace);
   return summarize(driver, timer.seconds());
 }

@@ -20,9 +20,9 @@ struct TraceRun {
 void run_one(const TraceRun& tr, bool breakdown, JsonEmitter& out) {
   overlay::DriverConfig dcfg = base_driver_config(200);
   WallTimer timer;
-  overlay::OverlayDriver driver(make_topology(TopologyKind::kGATech),
-                                make_net_config(TopologyKind::kGATech),
-                                dcfg);
+  overlay::ShardedDriver driver(make_topology(TopologyKind::kGATech),
+                                make_net_config(TopologyKind::kGATech), dcfg,
+                                1);
   driver.run_trace(tr.trace);
   emit_summary_row(out, tr.name, "topology=GATech",
                    summarize(driver, timer.seconds()));

@@ -38,9 +38,9 @@ int main(int argc, char** argv) {
         const auto trace = trace::generate_poisson(
             duration, s_min * 60.0, population, 500 + i, "poisson");
         WallTimer timer;
-        overlay::OverlayDriver driver(make_topology(TopologyKind::kGATech),
+        overlay::ShardedDriver driver(make_topology(TopologyKind::kGATech),
                                       make_net_config(TopologyKind::kGATech),
-                                      dcfg);
+                                      dcfg, 1);
         driver.run_trace(trace);
         const auto summary = summarize(driver, timer.seconds());
         sink.emit([summary, s_min](JsonEmitter& o) {

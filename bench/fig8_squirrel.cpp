@@ -10,24 +10,18 @@
 // 10% network jitter — standing in for the deployment's real messaging
 // layer). Figure 8's claim becomes: the two executions of the same
 // workload produce near-identical traffic curves.
-
 //
-// --sharded-slice additionally (or exclusively, for CI) runs a one-day
-// slice of the same workload through the parallel ShardedDriver with the
-// shard-count-invariant ShardedWebCacheService, at 1 and 4 shards, and
-// gates on digest equality — the app-data leg of the sharded-parity
-// contract. Rows land in BENCH_fig8_sharded.json.
+// Both runs use ShardedDriver + ShardedWebCacheService at one shard.
+// --sharded-slice instead runs a one-day slice of the same workload at 1
+// and 4 shards and gates on digest equality — the app-data leg of the
+// shard-count-invariance contract. Rows land in BENCH_fig8_sharded.json.
 
 #include <cmath>
 #include <cstring>
 
-#include "apps/app_mux.hpp"
 #include "apps/sharded_web_cache.hpp"
-#include "apps/web_cache.hpp"
-#include "apps/web_workload.hpp"
 #include "bench_util.hpp"
 #include "common/stats.hpp"
-#include "overlay/sharded_driver.hpp"
 
 using namespace mspastry;
 using namespace mspastry::bench;
@@ -37,13 +31,35 @@ namespace {
 constexpr int kMachines = 52;
 constexpr double kDays = 6.0;
 
-std::vector<overlay::Metrics::SeriesPoint> run_once(std::uint64_t seed,
-                                                    double jitter,
-                                                    JsonEmitter& out,
-                                                    const char* row_name) {
-  // Corporate churn: most machines stay up, a few reboot.
+struct SquirrelRun {
+  RunSummary summary;
+  apps::ShardedWebCacheService::Stats stats;
+  double latency_mean_ms = 0.0;
+  double latency_p50_ms = 0.0;
+  double latency_p95_ms = 0.0;
+  std::size_t latency_samples = 0;
+  std::uint64_t digest = 0;
+  std::vector<overlay::Metrics::SeriesPoint> traffic;  ///< total msgs/s/node
+
+  double hit_rate() const {
+    return stats.requests ? static_cast<double>(stats.hits) /
+                                static_cast<double>(stats.requests)
+                          : 0.0;
+  }
+};
+
+/// `n_days` of the Squirrel workload: corporate churn (most machines stay
+/// up, a few reboot) with the web cache attached through the
+/// ShardedDriver's app contract. Day 0 is a Thursday, so days 2-3 are the
+/// weekend, matching the trace's "4 week days and one weekend, clearly
+/// visible". The digest folds the run summary, the cache counters, and
+/// every end-to-end latency sample (in the ledger's S-invariant order) —
+/// if any app effect lands differently at a different shard count, this
+/// catches it.
+SquirrelRun run_squirrel(std::uint64_t seed, double n_days, double jitter,
+                         std::size_t shards) {
   trace::SyntheticChurnParams churn;
-  churn.duration = days(kDays);
+  churn.duration = days(n_days);
   churn.mean_session_seconds = 37.7 * 3600;
   churn.median_session_seconds = 30.0 * 3600;
   churn.target_population = kMachines;
@@ -52,102 +68,28 @@ std::vector<overlay::Metrics::SeriesPoint> run_once(std::uint64_t seed,
   const auto trace = trace::generate_synthetic(churn);
 
   auto dcfg = base_driver_config(seed);
-  dcfg.lookup_rate_per_node = 0.0;  // web requests drive all lookups
+  dcfg.lookup_rate_per_node = 0.0;  // the attached app drives all lookups
   dcfg.metrics_window = hours(1);
   dcfg.warmup = hours(2);
   auto ncfg = make_net_config(TopologyKind::kCorpNet);
   ncfg.jitter_fraction = jitter;
-
-  overlay::OverlayDriver driver(make_topology(TopologyKind::kCorpNet), ncfg,
-                                dcfg);
-  apps::AppMux mux(driver);
-  apps::WebCacheService cache(driver);
-  mux.attach(cache);
-
-  // Non-homogeneous Poisson browsing over a Zipf-ish URL universe; day 0
-  // is a Thursday so days 2-3 are the weekend, matching the trace's "4
-  // week days and one weekend, clearly visible".
-  apps::WebWorkload workload(apps::WebWorkloadParams{}, seed * 7 + 3);
-  std::function<void()> pump = [&] {
-    driver.sim().schedule_after(
-        workload.next_gap(driver.sim().now(), kMachines), [&] {
-          const auto src = driver.oracle().random_active(workload.rng());
-          if (src) cache.request(src->second, workload.pick_url());
-          pump();
-        });
-  };
-  WallTimer timer;
-  pump();
-  driver.run_trace(trace);
-  emit_summary_row(out, row_name,
-                   "seed=" + std::to_string(seed) +
-                       " jitter=" + std::to_string(jitter),
-                   summarize(driver, timer.seconds()))
-      .field("web_requests", cache.stats().requests)
-      .field("web_hit_rate",
-             cache.stats().requests
-                 ? static_cast<double>(cache.stats().hits) /
-                       cache.stats().requests
-                 : 0.0)
-      .field("web_mean_latency_ms", cache.latencies().mean() * 1000.0);
-
-  std::printf("  run seed=%llu jitter=%.0f%%: requests=%llu hit-rate=%.2f "
-              "mean-latency=%.0fms\n",
-              (unsigned long long)seed, jitter * 100,
-              (unsigned long long)cache.stats().requests,
-              cache.stats().requests
-                  ? static_cast<double>(cache.stats().hits) /
-                        cache.stats().requests
-                  : 0.0,
-              cache.latencies().mean() * 1000.0);
-  return driver.metrics().total_traffic_series(days(kDays));
-}
-
-struct SliceResult {
-  RunSummary summary;
-  apps::ShardedWebCacheService::Stats stats;
-  double latency_p50_ms = 0.0;
-  double latency_p95_ms = 0.0;
-  std::size_t latency_samples = 0;
-  std::uint64_t digest = 0;
-};
-
-/// One weekday of the Squirrel workload on the parallel engine: the same
-/// corporate churn shape, the web-cache app attached through the
-/// ShardedDriver's app contract. The digest folds the run summary, the
-/// cache counters, and every end-to-end latency sample (in the ledger's
-/// S-invariant order) — if any app effect lands differently at a
-/// different shard count, this catches it.
-SliceResult run_sharded_once(std::uint64_t seed, std::size_t shards) {
-  trace::SyntheticChurnParams churn;
-  churn.duration = days(1.0);  // one weekday slice of the 6-day log
-  churn.mean_session_seconds = 37.7 * 3600;
-  churn.median_session_seconds = 30.0 * 3600;
-  churn.target_population = kMachines;
-  churn.seed = seed * 13 + 1;
-  churn.name = "squirrel-corp-slice";
-  const auto trace = trace::generate_synthetic(churn);
-
-  auto dcfg = base_driver_config(seed);
-  dcfg.lookup_rate_per_node = 0.0;  // the attached app drives all lookups
-  dcfg.metrics_window = hours(1);
-  dcfg.warmup = hours(2);
-  overlay::ShardedDriver driver(make_topology(TopologyKind::kCorpNet),
-                                make_net_config(TopologyKind::kCorpNet), dcfg,
-                                shards);
-  apps::ShardedWebCacheService cache;
+  apps::ShardedWebCacheService cache;  // outlives the driver using it
+  overlay::ShardedDriver driver(make_topology(TopologyKind::kCorpNet), ncfg,
+                                dcfg, shards);
   driver.attach_app(&cache);
   WallTimer timer;
   driver.run_trace(trace);
 
-  SliceResult r;
+  SquirrelRun r;
   r.summary = summarize(driver, timer.seconds());
   r.stats = cache.stats();
   SampleSet lat;
   for (const double s : driver.app_latency_samples()) lat.add(s);
   r.latency_samples = driver.app_latency_samples().size();
+  r.latency_mean_ms = lat.mean() * 1000.0;
   r.latency_p50_ms = lat.quantile(0.5) * 1000.0;
   r.latency_p95_ms = lat.quantile(0.95) * 1000.0;
+  r.traffic = driver.metrics().total_traffic_series(days(n_days));
 
   std::uint64_t h = r.summary.digest;
   h = hash_u64(h, r.stats.requests);
@@ -160,21 +102,39 @@ SliceResult run_sharded_once(std::uint64_t seed, std::size_t shards) {
   return r;
 }
 
+/// One full 6-day run for the traffic comparison.
+std::vector<overlay::Metrics::SeriesPoint> run_once(std::uint64_t seed,
+                                                    double jitter,
+                                                    JsonEmitter& out,
+                                                    const char* row_name) {
+  const SquirrelRun r = run_squirrel(seed, kDays, jitter, 1);
+  emit_summary_row(out, row_name,
+                   "seed=" + std::to_string(seed) +
+                       " jitter=" + std::to_string(jitter),
+                   r.summary)
+      .field("web_requests", r.stats.requests)
+      .field("web_hit_rate", r.hit_rate())
+      .field("web_mean_latency_ms", r.latency_mean_ms);
+  std::printf("  run seed=%llu jitter=%.0f%%: requests=%llu hit-rate=%.2f "
+              "mean-latency=%.0fms\n",
+              (unsigned long long)seed, jitter * 100,
+              (unsigned long long)r.stats.requests, r.hit_rate(),
+              r.latency_mean_ms);
+  return r.traffic;
+}
+
 /// Returns true when the 1-shard and 4-shard runs digest identically.
 bool run_sharded_slice() {
   std::printf("\nsharded slice: one weekday, ShardedDriver + "
               "ShardedWebCacheService at 1 and 4 shards\n");
   JsonEmitter out("fig8_sharded");
   bool ok = true;
-  SliceResult first;
+  SquirrelRun first;
   for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-    const SliceResult r = run_sharded_once(2001, shards);
+    const SquirrelRun r = run_squirrel(2001, 1.0, 0.0, shards);
     std::printf("  shards=%zu: requests=%llu hit-rate=%.2f "
                 "latency p50/p95=%.1f/%.1f ms events=%llu digest=%016llx\n",
-                shards, (unsigned long long)r.stats.requests,
-                r.stats.requests ? static_cast<double>(r.stats.hits) /
-                                       static_cast<double>(r.stats.requests)
-                                 : 0.0,
+                shards, (unsigned long long)r.stats.requests, r.hit_rate(),
                 r.latency_p50_ms, r.latency_p95_ms,
                 (unsigned long long)r.summary.executed_events,
                 (unsigned long long)r.digest);

@@ -135,10 +135,12 @@ int main(int argc, char** argv) {
   // parallelism; the recorded numbers stay honest either way.
   const bool gate_applies = min_speedup > 0.0 && cores >= 2;
   const bool gate_ok = !gate_applies || best_speedup >= min_speedup;
-  std::printf("\n  best speedup: %.2fx at %zu shards (cores=%u)%s\n",
-              best_speedup, best_shards, cores,
-              gate_applies ? (gate_ok ? "  gate: PASS" : "  gate: FAIL")
-                           : "  gate: skipped (single-core host)");
+  const char* verdict = gate_applies ? (gate_ok ? "PASS" : "FAIL")
+                        : min_speedup > 0.0
+                            ? "skipped (single-core host)"
+                            : "skipped (--min-speedup not set)";
+  std::printf("\n  best speedup: %.2fx at %zu shards (cores=%u)  gate: %s\n",
+              best_speedup, best_shards, cores, verdict);
   std::printf("  digests across shard counts: %s\n",
               digests_match ? "MATCH" : "MISMATCH");
 

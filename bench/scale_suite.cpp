@@ -1,8 +1,9 @@
 // Paper-scale simulation suite: runs N = 10,000-node slices of the
-// fig3/fig4/fig5 experiments and records, per phase, the wall-clock,
-// event throughput, peak RSS and routing-arena footprint that make those
-// runs tractable (slab routing rows, the timer wheel, the incremental
-// oracle, the landmark delay oracle). Output lands in BENCH_scale.json;
+// fig3/fig4/fig5 experiments on the keyed engine and records, per phase,
+// the wall-clock, event throughput, epoch count and peak RSS that make
+// those runs tractable (slab routing rows, the timer wheel, the
+// incremental oracle, the landmark delay oracle). Output lands in
+// BENCH_scale.json;
 // CI runs `--smoke` with thresholds (see --max-rss-mb /
 // --min-events-per-sec) so a memory or throughput regression fails the
 // build instead of silently doubling the paper-reproduction budget.
@@ -14,7 +15,8 @@
 //   --population=100000 the N = 100k tier: a single fig4 slice on the
 //                       paper-size 5050-router GATech graph (landmark
 //                       delay-oracle mode), emitted to BENCH_scale100k.json
-//   --shards=S          overlay slices on the sharded engine
+//   --shards=S          overlay slices on S shards of the keyed engine
+//                       (default 1)
 //   --per-pair-lookahead widen epochs via Topology::min_delay_between
 //   --check-hops=TOL    trace a sample of lookups and run the obs
 //                       expectation rules, including R7 (analytic mean
@@ -39,10 +41,9 @@ int g_expectation_failures = 0;
 
 struct Phase {
   /// What ran, and therefore which telemetry fields mean anything:
-  /// kTraceOnly phases have no overlay (no arena, no live nodes beyond
-  /// what the trace itself says), kSharded phases have per-shard arenas
-  /// (reported via shard/epoch telemetry instead of one arena's rows).
-  enum class Kind { kTraceOnly, kOverlay, kSharded };
+  /// kTraceOnly phases have no overlay (no live nodes beyond what the
+  /// trace itself says, no shard/epoch telemetry).
+  enum class Kind { kTraceOnly, kOverlay };
 
   std::string name;
   std::string params;
@@ -53,11 +54,7 @@ struct Phase {
   std::uint64_t peak_rss = 0;  ///< process peak at phase end (monotone)
   std::uint64_t digest = 0;
   std::uint64_t live_nodes = 0;  ///< slice end: overlay- or trace-derived
-  std::uint64_t arena_rows = 0;
-  std::uint64_t arena_bytes = 0;
-  std::uint64_t timer_arena_slots = 0;
-  std::uint64_t parked_timers = 0;
-  std::size_t shards = 0;        ///< kSharded only
+  std::size_t shards = 0;        ///< kOverlay only
   std::size_t effective_shards = 0;
   std::uint64_t epochs = 0;
   net::DelayCacheStats delay_cache;  ///< overlay phases: oracle telemetry
@@ -76,21 +73,13 @@ void emit_phase(JsonEmitter& out, const Phase& p) {
                          static_cast<double>(p.peak_rss) / (1024 * 1024))
                   .hex("digest", p.digest)
                   .field("live_nodes", p.live_nodes);
-  // Arena/timer telemetry only exists where a (single) overlay ran;
-  // emitting zeros for trace-only phases reads as "empty arena", which is
-  // not a fact this phase measured.
+  // Engine and overlay telemetry only exists where an overlay ran;
+  // emitting zeros for trace-only phases would read as measured facts.
   if (p.kind == Phase::Kind::kOverlay) {
-    row.field("arena_rows", p.arena_rows)
-        .field("arena_bytes", p.arena_bytes)
-        .field("timer_arena_slots", p.timer_arena_slots)
-        .field("parked_timers", p.parked_timers);
-  } else if (p.kind == Phase::Kind::kSharded) {
     row.field("shards", p.shards)
         .field("effective_shards", p.effective_shards)
-        .field("epochs", p.epochs);
-  }
-  if (p.kind != Phase::Kind::kTraceOnly) {
-    row.field("rdp", p.summary.rdp)
+        .field("epochs", p.epochs)
+        .field("rdp", p.summary.rdp)
         .field("control_traffic", p.summary.control_traffic)
         .field("loss_rate", p.summary.loss_rate)
         .field("lookups", p.summary.lookups)
@@ -206,31 +195,16 @@ Phase run_overlay(const std::string& name, const std::string& params,
     dcfg.obs.ring_capacity = 512;
   }
   WallTimer timer;
-  if (shards > 1) {
-    p.kind = Phase::Kind::kSharded;
-    dcfg.per_pair_lookahead = g_per_pair_lookahead;
-    overlay::ShardedDriver driver(topo, ncfg, dcfg, shards);
-    driver.run_trace(trace);
-    p.summary = summarize(driver, timer.seconds());
-    p.live_nodes = driver.live_node_count();
-    p.shards = shards;
-    p.effective_shards = driver.effective_shards();
-    p.epochs = driver.epochs();
-    if (g_check_hops > 0.0) {
-      check_expectations_for(name, driver.trace_domain(), p.live_nodes);
-    }
-  } else {
-    overlay::OverlayDriver driver(topo, ncfg, dcfg);
-    driver.run_trace(trace);
-    p.summary = summarize(driver, timer.seconds());
-    p.live_nodes = driver.live_node_count();
-    p.arena_rows = driver.routing_arena().rows_in_use();
-    p.arena_bytes = driver.routing_arena().bytes_reserved();
-    p.timer_arena_slots = driver.sim().arena_slots();
-    p.parked_timers = driver.sim().parked_entries();
-    if (g_check_hops > 0.0) {
-      check_expectations_for(name, driver.trace_domain(), p.live_nodes);
-    }
+  dcfg.per_pair_lookahead = g_per_pair_lookahead;
+  overlay::ShardedDriver driver(topo, ncfg, dcfg, shards);
+  driver.run_trace(trace);
+  p.summary = summarize(driver, timer.seconds());
+  p.live_nodes = driver.live_node_count();
+  p.shards = shards;
+  p.effective_shards = driver.effective_shards();
+  p.epochs = driver.epochs();
+  if (g_check_hops > 0.0) {
+    check_expectations_for(name, driver.trace_domain(), p.live_nodes);
   }
   p.wall_seconds = p.summary.wall_seconds;
   p.executed_events = p.summary.executed_events;
@@ -304,7 +278,7 @@ int main(int argc, char** argv) {
   bool smoke = false;
   double max_rss_mb = 0.0;       // 0 = no threshold
   double min_events_per_sec = 0.0;
-  std::size_t shards = 1;        // >1: overlay slices on the sharded engine
+  std::size_t shards = 1;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
     if (std::strncmp(argv[i], "--max-rss-mb=", 13) == 0) {
@@ -350,13 +324,11 @@ int main(int argc, char** argv) {
     const SimDuration slice =
         smoke ? minutes(30) : (full_scale() ? hours(4) : hours(1));
     const SimDuration warmup = smoke ? minutes(10) : minutes(20);
-    std::printf("slice: %.0f simulated minutes per overlay run%s\n",
-                to_seconds(slice) / 60.0, smoke ? " (smoke)" : "");
-    if (shards > 1) {
-      std::printf("overlay slices on the sharded engine, %zu shards%s\n",
-                  shards,
-                  g_per_pair_lookahead ? ", per-pair lookahead" : "");
-    }
+    std::printf("slice: %.0f simulated minutes per overlay run, %zu "
+                "shards%s%s\n",
+                to_seconds(slice) / 60.0, shards,
+                g_per_pair_lookahead ? ", per-pair lookahead" : "",
+                smoke ? " (smoke)" : "");
     phases.push_back(run_fig3(slice));
     emit_phase(out, phases.back());
     phases.push_back(run_fig4(slice, warmup, shards));

@@ -1,33 +1,31 @@
 // Adversarial routing f-sweep: lookup dependability as a growing fraction
 // f of overlay nodes turns Byzantine, with and without the two
 // countermeasures (diverse-path redundant lookups, leaf-set plausibility
-// checks). Each cell builds a fresh overlay, corrupts round(f*N) nodes
-// with one scripted behavior (drop / misroute / lie), then scores probe
-// lookups issued from honest sources for honest-rooted keys — the
-// secure-routing measurement convention. Prints one row per cell and
-// writes BENCH_adversary.json.
+// checks). Each cell joins a fresh overlay through a joins-only trace,
+// lets it settle, corrupts round(f*N) nodes with one behavior (drop /
+// misroute / lie), then scores the driver's Poisson probe lookups over a
+// measurement window — issued from honest sources for honest-rooted keys,
+// the secure-routing measurement convention built into the ShardedDriver
+// when an adversary is configured. Prints one row per cell and writes
+// BENCH_adversary.json.
 //
-// The headline claim (ISSUE/EXPERIMENTS.md): at f = 0.2 both
-// countermeasures together recover >= 95% lookup success while the
-// baseline is visibly degraded.
+// The headline claim (EXPERIMENTS.md): at f = 0.2 both countermeasures
+// together recover >= 95% lookup success while the baseline is visibly
+// degraded.
 //
 // Usage: tab_adversary [--seed=N] [--smoke] [--shards=N]
 //   --smoke: the CI gate — only the corner cells (f=0 purity, f=0.2
 //   baseline-vs-both), and a nonzero exit if the f=0.2 "both" cell
 //   misses the SLO (incorrect < 1%, lookup failure < 5%).
-//   --shards=N: run the cells on the parallel sharded engine instead
-//   (joins-only trace, Poisson probe workload with the same honest-source
-//   / honest-rooted-key conventions built into the ShardedDriver). Every
-//   cell runs at 1 shard and at N shards; a digest mismatch between the
-//   two fails the bench — the shard-count-invariance gate for the
-//   adversary, on top of the same SLO gates.
+//   --shards=N (default 4): every cell runs at 1 shard and at N shards;
+//   a digest mismatch between the two fails the bench — the
+//   shard-count-invariance gate for the adversary, on top of the SLO
+//   gates. The table reports the N-shard run.
 
 #include <cstring>
-#include <unordered_map>
 
 #include "bench_util.hpp"
 #include "overlay/adversary.hpp"
-#include "overlay/sharded_driver.hpp"
 
 using namespace mspastry;
 using namespace mspastry::bench;
@@ -66,110 +64,12 @@ struct CellResult {
   }
 };
 
-struct ProbeOutcome {
-  bool delivered = false;
-  bool correct = false;
-};
-
-CellResult run_cell(const std::shared_ptr<const net::Topology>& topology,
-                    std::uint64_t seed, const Cell& cell, int nodes,
-                    int probes) {
-  overlay::DriverConfig dcfg;
-  dcfg.seed = seed;
-  dcfg.warmup = 0;
-  dcfg.pastry.lookup_redundancy = cell.redundancy;
-  dcfg.pastry.leaf_plausibility_checks = cell.checks;
-  overlay::OverlayDriver driver(topology, net::NetworkConfig{}, dcfg);
-
-  std::unordered_map<std::uint64_t, ProbeOutcome> outcomes;
-  driver.on_app_deliver = [&outcomes, &driver](net::Address self,
-                                               const pastry::LookupMsg& m) {
-    const auto it = outcomes.find(m.lookup_id);
-    if (it == outcomes.end() || (it->second.delivered && it->second.correct)) {
-      return;
-    }
-    const auto root = driver.oracle().root_of(m.key);
-    const bool correct = root && *root == self;
-    // First-correct-wins: any redundant copy landing at the true root
-    // upgrades an earlier misdelivery.
-    if (!it->second.delivered || correct) {
-      it->second.delivered = true;
-      it->second.correct = correct;
-    }
-  };
-
-  for (int i = 0; i < nodes; ++i) {
-    driver.add_node();
-    driver.run_for(seconds(2));
-  }
-  driver.run_for(minutes(3));  // settle: leaf sets converge
-
-  overlay::AdversaryController adv(driver, cell.behavior, 1.0,
-                                   seed ^ 0xadd5a17ull);
-  if (cell.f > 0.0) adv.corrupt_fraction(cell.f);
-
-  for (int i = 0; i < probes; ++i) {
-    auto src = driver.oracle().random_active(driver.rng());
-    for (int tries = 0;
-         src && adv.is_adversarial(src->second) && tries < 64; ++tries) {
-      src = driver.oracle().random_active(driver.rng());
-    }
-    NodeId key = driver.rng().node_id();
-    for (int tries = 0; tries < 64; ++tries) {
-      const auto root = driver.oracle().root_of(key);
-      if (root && !adv.is_adversarial(*root)) break;
-      key = driver.rng().node_id();
-    }
-    const auto root = driver.oracle().root_of(key);
-    if (!src || adv.is_adversarial(src->second) || !root ||
-        adv.is_adversarial(*root)) {
-      driver.run_for(seconds(1));
-      continue;
-    }
-    // Register before issuing: a source that is itself the root delivers
-    // synchronously inside issue_lookup.
-    outcomes.emplace(driver.next_lookup_id(), ProbeOutcome{});
-    driver.issue_lookup(src->second, key);
-    driver.run_for(seconds(1));
-  }
-  driver.run_for(seconds(30));  // let stragglers land
-  driver.finish();              // flush pending-incorrect attribution
-
-  CellResult r;
-  for (const auto& [id, p] : outcomes) {
-    (void)id;
-    ++r.issued;
-    if (p.delivered && p.correct) ++r.correct;
-    if (p.delivered && !p.correct) ++r.incorrect;
-  }
-  r.counters = driver.counters();
-  const auto& m = driver.metrics();
-  r.metrics_incorrect_adversarial = m.incorrect_misrouted_by_adversary();
-  r.metrics_incorrect_stale = m.incorrect_stale_leaf_set();
-  r.metrics_lost_devoured = m.lost_dropped_by_adversary();
-  r.executed_events = driver.sim().executed_events();
-
-  std::uint64_t h = kFnvOffset;
-  h = hash_u64(h, r.issued);
-  h = hash_u64(h, r.correct);
-  h = hash_u64(h, r.incorrect);
-  h = hash_u64(h, r.executed_events);
-  h = hash_u64(h, r.counters.lookups_dropped_adversarial);
-  h = hash_u64(h, r.counters.lookups_misrouted_adversarial);
-  h = hash_u64(h, r.counters.ls_replies_corrupted);
-  h = hash_u64(h, r.counters.redundant_lookup_copies);
-  h = hash_u64(h, r.counters.leaf_candidates_rejected);
-  r.digest = h;
-  return r;
-}
-
-/// Sharded-engine counterpart of run_cell: a joins-only trace (one join
-/// every 2 s, no failures — the same cadence the serial cell uses), then
+/// One cell: a joins-only trace (one join every 2 s, no failures), then
 /// the driver's own Poisson probe workload over a measurement window that
 /// opens when the adversary arms. Scoring comes from the driver's metrics
 /// (honest-source and honest-rooted-key probe conventions are built into
 /// the ShardedDriver when an adversary is configured).
-CellResult run_cell_sharded(
+CellResult run_cell(
     const std::shared_ptr<const net::Topology>& topology, std::uint64_t seed,
     const Cell& cell, int nodes, std::size_t shards) {
   std::vector<trace::ChurnEvent> events;
@@ -232,7 +132,7 @@ CellResult run_cell_sharded(
 int main(int argc, char** argv) {
   std::uint64_t seed = 7;
   bool smoke = false;
-  std::size_t shards = 0;  // 0 = classic single-threaded engine
+  std::size_t shards = 4;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--seed=", 7) == 0) {
       seed = std::strtoull(argv[i] + 7, nullptr, 10);
@@ -251,18 +151,15 @@ int main(int argc, char** argv) {
   print_header("Adversarial routing: Byzantine fraction sweep");
   std::printf("seed: %llu%s\n", (unsigned long long)seed,
               smoke ? " (smoke: corner cells + SLO gate)" : "");
-  if (shards > 0) {
-    std::printf("engine: sharded; every cell runs at 1 and %zu shards and "
-                "the digests must match\n",
-                shards);
-  }
-  JsonEmitter out(shards > 0 ? "adversary_sharded" : "adversary");
+  std::printf("every cell runs at 1 and %zu shards and the digests must "
+              "match\n",
+              shards);
+  JsonEmitter out("adversary");
 
   // Interception needs multi-hop routes: with l=32 a small overlay is
   // covered by every leaf set and lookups reach the root in one honest
   // hop, so the sweep runs bigger rings than the chaos scenarios do.
   const int nodes = full_scale() ? 500 : 160;
-  const int probes = full_scale() ? 300 : 120;
   const auto topology = make_topology(TopologyKind::kGATech);
 
   constexpr struct {
@@ -321,21 +218,15 @@ int main(int argc, char** argv) {
     cell_seed = hash_u64(cell_seed,
                          static_cast<std::uint64_t>(cell.behavior) ^
                              static_cast<std::uint64_t>(cell.f * 1000.0));
-    CellResult r;
-    if (shards > 0) {
-      const CellResult serial_like =
-          run_cell_sharded(topology, cell_seed, cell, nodes, 1);
-      r = run_cell_sharded(topology, cell_seed, cell, nodes, shards);
-      if (r.digest != serial_like.digest) {
-        std::printf("  GATE: %s/%s/f=%.2f digest differs between 1 and %zu "
-                    "shards (%016llx vs %016llx)\n",
-                    cell.config, overlay::to_string(cell.behavior), cell.f,
-                    shards, (unsigned long long)serial_like.digest,
-                    (unsigned long long)r.digest);
-        gate_ok = false;
-      }
-    } else {
-      r = run_cell(topology, cell_seed, cell, nodes, probes);
+    const CellResult one = run_cell(topology, cell_seed, cell, nodes, 1);
+    const CellResult r = run_cell(topology, cell_seed, cell, nodes, shards);
+    if (r.digest != one.digest) {
+      std::printf("  GATE: %s/%s/f=%.2f digest differs between 1 and %zu "
+                  "shards (%016llx vs %016llx)\n",
+                  cell.config, overlay::to_string(cell.behavior), cell.f,
+                  shards, (unsigned long long)one.digest,
+                  (unsigned long long)r.digest);
+      gate_ok = false;
     }
     suite_digest = hash_u64(suite_digest, r.digest);
 
@@ -372,7 +263,7 @@ int main(int argc, char** argv) {
         .field("executed_events", r.executed_events)
         .hex("digest", r.digest);
 
-    // SLO gates (all modes): f=0 must be pure — an honest overlay with
+    // SLO gates: f=0 must be pure — an honest overlay with
     // countermeasures on loses nothing; f=0.2 "both" must hold the
     // headline bound for drop and misroute.
     if (cell.f == 0.0 &&

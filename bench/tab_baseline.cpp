@@ -42,12 +42,9 @@ Row run_chord(const trace::ChurnTrace& trace, SimDuration stabilize,
 }
 
 Row run_mspastry(const trace::ChurnTrace& trace, std::uint64_t seed) {
-  auto cfg = base_driver_config(seed);
-  overlay::OverlayDriver d(make_topology(TopologyKind::kGATech),
-                           make_net_config(TopologyKind::kGATech), cfg);
-  d.run_trace(trace);
-  return Row{d.metrics().incorrect_delivery_rate(), d.metrics().loss_rate(),
-             d.metrics().control_traffic_rate()};
+  const RunSummary s = run_experiment(TopologyKind::kGATech,
+                                      base_driver_config(seed), trace);
+  return Row{s.incorrect_rate, s.loss_rate, s.control_traffic};
 }
 
 }  // namespace

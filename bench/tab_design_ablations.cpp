@@ -22,9 +22,9 @@ Result run_with(const overlay::DriverConfig& dcfg, double loss,
                 std::uint64_t trace_seed, JsonEmitter& out,
                 const char* name, const char* params) {
   WallTimer timer;
-  overlay::OverlayDriver driver(make_topology(TopologyKind::kGATech),
+  overlay::ShardedDriver driver(make_topology(TopologyKind::kGATech),
                                 make_net_config(TopologyKind::kGATech, loss),
-                                dcfg);
+                                dcfg, 1);
   driver.run_trace(bench_gnutella(trace_seed));
   Result r;
   r.s = summarize(driver, timer.seconds());

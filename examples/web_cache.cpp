@@ -3,15 +3,15 @@
 // Figure 8): each machine runs a proxy, URLs are hashed to keys, and the
 // key's root node is the object's home cache.
 
-#include <cmath>
+#include <algorithm>
 #include <cstdio>
 #include <memory>
-#include <string>
+#include <vector>
 
-#include "apps/app_mux.hpp"
-#include "apps/web_cache.hpp"
+#include "apps/sharded_web_cache.hpp"
+#include "common/stats.hpp"
 #include "net/corpnet.hpp"
-#include "overlay/driver.hpp"
+#include "overlay/sharded_driver.hpp"
 
 using namespace mspastry;
 
@@ -20,41 +20,40 @@ int main() {
   auto topology =
       std::make_shared<net::CorpNetTopology>(net::CorpNetParams{});
 
+  // 52 desktop proxies (as in the MSR deployment) join 2 s apart, then
+  // the office browses for one simulated hour.
+  constexpr int kProxies = 52;
+  std::vector<trace::ChurnEvent> joins;
+  for (int i = 0; i < kProxies; ++i) {
+    joins.push_back({seconds(2) * i, i, trace::ChurnEventType::kJoin});
+  }
+  const trace::ChurnTrace trace(std::move(joins), "office");
+
   overlay::DriverConfig cfg;
   cfg.lookup_rate_per_node = 0.0;  // web requests drive all lookups
   cfg.warmup = 0;
   cfg.seed = 3;
-  overlay::OverlayDriver driver(topology, net::NetworkConfig{}, cfg);
 
-  apps::AppMux mux(driver);
-  apps::WebCacheService::Params params;
+  // Zipf-ish popularity over 500 pages, ~0.5 requests/s across the office
+  // at a flat rate (every hour counts as office hours).
+  apps::ShardedWebCacheService::Params params;
   params.origin_delay = milliseconds(200);
-  apps::WebCacheService cache(driver, params);
-  mux.attach(cache);
+  params.workload.peak_rate_per_node = 0.5 / kProxies;
+  params.workload.off_hours_floor = 1.0;
+  params.workload.weekend_factor = 1.0;
+  params.workload.url_count = 500;
+  apps::ShardedWebCacheService cache(params);
 
-  std::printf("starting 52 desktop proxies (as in the MSR deployment)...\n");
-  for (int i = 0; i < 52; ++i) {
-    driver.add_node();
-    driver.run_for(seconds(2));
-  }
-  driver.run_for(minutes(2));
+  overlay::ShardedDriver driver(topology, net::NetworkConfig{}, cfg, 1);
+  driver.attach_app(&cache);
 
-  // One simulated office hour of browsing: Zipf-ish popularity over 500
-  // pages, ~0.5 requests/s across the office.
-  std::printf("simulating one hour of browsing...\n");
-  Rng workload(99);
-  const SimTime end = driver.sim().now() + hours(1);
-  while (driver.sim().now() < end) {
-    driver.run_for(from_seconds(workload.exponential(2.0)));
-    const auto who = driver.oracle().random_active(driver.rng());
-    const int page =
-        static_cast<int>(std::pow(500.0, workload.uniform())) - 1;
-    cache.request(who->second, "http://intranet/page" + std::to_string(page));
-  }
-  driver.run_for(seconds(30));
-  driver.finish();
+  std::printf("starting %d desktop proxies, then one hour of browsing...\n",
+              kProxies);
+  driver.run_trace(trace, hours(1));
 
-  const auto& s = cache.stats();
+  const auto s = cache.stats();
+  SampleSet latency;
+  for (const double x : driver.app_latency_samples()) latency.add(x);
   std::printf("\nresults\n");
   std::printf("  requests:        %llu\n", (unsigned long long)s.requests);
   std::printf("  cache hits:      %llu (%.0f%%)\n",
@@ -63,7 +62,7 @@ int main() {
   std::printf("  origin fetches:  %llu\n", (unsigned long long)s.misses);
   std::printf("  responses:       %llu\n", (unsigned long long)s.responses);
   std::printf("  mean latency:    %.0f ms (hit path avoids the %.0f ms origin fetch)\n",
-              cache.latencies().mean() * 1000.0,
+              latency.mean() * 1000.0,
               to_seconds(params.origin_delay) * 1000.0);
   std::printf("  overlay traffic: %.2f msgs/s/node\n",
               driver.metrics().total_traffic_rate());
@@ -71,7 +70,7 @@ int main() {
   // Where did the objects land? Count per-node cache occupancy spread.
   int holders = 0;
   std::size_t largest = 0;
-  for (const auto a : driver.live_addresses()) {
+  for (net::Address a = 0; a < kProxies; ++a) {
     const auto n = cache.cached_on(a);
     if (n > 0) ++holders;
     largest = std::max(largest, n);

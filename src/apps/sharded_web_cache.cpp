@@ -38,6 +38,15 @@ std::size_t ShardedWebCacheService::cached_total() const {
   return total;
 }
 
+std::size_t ShardedWebCacheService::cached_on(net::Address a) const {
+  std::size_t total = 0;
+  for (const ShardState& s : shards_) {
+    const auto it = s.caches.find(a);
+    if (it != s.caches.end()) total += it->second.size();
+  }
+  return total;
+}
+
 void ShardedWebCacheService::on_run_start(overlay::ShardedDriver&,
                                           std::size_t shards) {
   shards_.assign(shards, ShardState{});

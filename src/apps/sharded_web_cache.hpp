@@ -11,9 +11,16 @@
 
 namespace mspastry::apps {
 
-/// WebCacheService's shard-count-invariant sibling: the same Squirrel-like
-/// cooperative web cache (home-node caching, simulated origin fetches),
-/// restructured for the ShardedDriver's app contract:
+/// A Squirrel-like decentralized cooperative web cache (Iyer, Rowstron,
+/// Druschel), the application used to validate the paper's simulator
+/// (Figure 8): every participating desktop runs a proxy; a web object's
+/// URL is hashed to a key, and the key's root node is the object's "home
+/// node", responsible for caching it. Requests are routed through MSPastry
+/// to the home node; on a miss the home node fetches from the origin
+/// server (simulated as a configurable delay) and caches.
+///
+/// Built on the ShardedDriver's app contract, so its results are
+/// byte-identical at any shard count:
 ///  - all mutable state (caches, pending requests, counters) is replicated
 ///    per shard and only touched by the owning worker;
 ///  - request ops are keyed (requester uid, per-requester seq), never a
@@ -52,6 +59,9 @@ class ShardedWebCacheService final : public overlay::ShardedApp {
 
   /// Objects cached across all nodes, summed over shards.
   std::size_t cached_total() const;
+
+  /// Objects cached on node `a` (0 for a node that never cached).
+  std::size_t cached_on(net::Address a) const;
 
   /// The overlay key of workload URL `page` — lets scenarios aim an
   /// eclipse attack at a hot object's home node.

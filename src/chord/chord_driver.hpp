@@ -53,6 +53,9 @@ struct ChordDriverConfig {
   std::uint64_t seed = 7;
 };
 
+/// Single-threaded trace harness for the Chord-style baseline (§3.1
+/// comparison, bench/tab_baseline). It is the one serial trace harness
+/// left on purpose: MSPastry traces run on overlay::ShardedDriver.
 class ChordDriver {
  public:
   ChordDriver(std::shared_ptr<const net::Topology> topology,

@@ -26,46 +26,6 @@ std::optional<AdversaryBehavior> behavior_from_name(std::string_view name) {
   return std::nullopt;
 }
 
-ScriptedAdversary::RouteAction ScriptedAdversary::on_route(
-    const pastry::RoutedMessage&, bool) {
-  if (behavior_ == AdversaryBehavior::kLie || !rng_.chance(strike_)) {
-    return RouteAction::kHonest;
-  }
-  return behavior_ == AdversaryBehavior::kDrop ? RouteAction::kDrop
-                                               : RouteAction::kMisroute;
-}
-
-bool ScriptedAdversary::corrupt_ls_reply(pastry::LeafVec& leaf,
-                                         pastry::FailedVec& failed) {
-  if (behavior_ != AdversaryBehavior::kLie || !rng_.chance(strike_)) {
-    return false;
-  }
-  // Falsely report live leaf-set members as failed: receivers that trust
-  // peer failure claims evict them and end up with stale leaf sets.
-  bool changed = false;
-  for (std::size_t i = 0; i < leaf.size();) {
-    if (rng_.chance(0.5)) {
-      failed.push_back(leaf[i]);
-      leaf.erase(leaf.begin() + static_cast<std::ptrdiff_t>(i));
-      changed = true;
-    } else {
-      ++i;
-    }
-  }
-  return changed;
-}
-
-bool ScriptedAdversary::corrupt_nn_reply(pastry::CandidateVec& candidates) {
-  if (behavior_ != AdversaryBehavior::kLie || !rng_.chance(strike_)) {
-    return false;
-  }
-  // Conceal most of the neighbourhood: the probing node discovers fewer
-  // honest close nodes, slowing leaf-set repair and biasing its view.
-  if (candidates.size() <= 1) return false;
-  candidates.resize(1);
-  return true;
-}
-
 bool KeyedAdversary::chance(double p) {
   // Mirrors Rng::chance, including the no-draw fast paths, so strike=1.0
   // adversaries consume no sequence numbers on the always-strike gate.
@@ -88,8 +48,9 @@ bool KeyedAdversary::corrupt_ls_reply(pastry::LeafVec& leaf,
   if (behavior_ != AdversaryBehavior::kLie || !chance(strike_)) {
     return false;
   }
-  // Same lie as ScriptedAdversary: falsely report live leaf-set members
-  // as failed, per-entry coin flips.
+  // Falsely report live leaf-set members as failed (per-entry coin
+  // flips): receivers that trust peer failure claims evict them and end
+  // up with stale leaf sets.
   bool changed = false;
   for (std::size_t i = 0; i < leaf.size();) {
     if (chance(0.5)) {
@@ -107,6 +68,8 @@ bool KeyedAdversary::corrupt_nn_reply(pastry::CandidateVec& candidates) {
   if (behavior_ != AdversaryBehavior::kLie || !chance(strike_)) {
     return false;
   }
+  // Conceal most of the neighbourhood: the probing node discovers fewer
+  // honest close nodes, slowing leaf-set repair and biasing its view.
   if (candidates.size() <= 1) return false;
   candidates.resize(1);
   return true;
@@ -135,9 +98,8 @@ std::vector<net::Address> AdversaryController::corrupt_fraction(
 void AdversaryController::corrupt(net::Address a) {
   pastry::PastryNode* n = driver_.node(a);
   if (n == nullptr || policies_.count(a) > 0) return;
-  auto policy = std::make_unique<ScriptedAdversary>(
-      behavior_, strike_,
-      seed_ ^ (static_cast<std::uint64_t>(a) * 0x9e3779b97f4a7c15ull));
+  auto policy =
+      std::make_unique<KeyedAdversary>(behavior_, strike_, seed_, a);
   n->set_adversary(policy.get());
   policies_.emplace(a, std::move(policy));
 }

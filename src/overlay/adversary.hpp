@@ -25,36 +25,15 @@ enum class AdversaryBehavior : std::uint8_t {
 const char* to_string(AdversaryBehavior b);
 std::optional<AdversaryBehavior> behavior_from_name(std::string_view name);
 
-/// Seeded per-node Byzantine policy: at each interception point the node
-/// strikes with probability `strike` (1.0 = always-on adversary). Each
-/// policy owns its RNG stream, so adversarial decisions are reproducible
-/// from the scenario seed and independent of honest-path RNG draws.
-class ScriptedAdversary final : public pastry::AdversaryPolicy {
- public:
-  ScriptedAdversary(AdversaryBehavior behavior, double strike,
-                    std::uint64_t seed)
-      : behavior_(behavior), strike_(strike), rng_(seed) {}
-
-  RouteAction on_route(const pastry::RoutedMessage& m,
-                       bool leaf_covers) override;
-  bool corrupt_ls_reply(pastry::LeafVec& leaf,
-                        pastry::FailedVec& failed) override;
-  bool corrupt_nn_reply(pastry::CandidateVec& candidates) override;
-
- private:
-  AdversaryBehavior behavior_;
-  double strike_;
-  Rng rng_;
-};
-
-/// ScriptedAdversary's shard-count-invariant sibling, used by the
-/// ShardedDriver. Same behaviors, but every decision is a *stateless*
-/// draw keyed (adversary seed, this node's address, intercept seq) via
-/// common/hash_mix.hpp — the per-node intercept sequence is itself
+/// Per-node Byzantine policy: at each interception point the node strikes
+/// with probability `strike` (1.0 = always-on adversary). Every decision
+/// is a *stateless* draw keyed (adversary seed, this node's address,
+/// intercept seq) via common/hash_mix.hpp, so adversarial decisions are
+/// reproducible from the scenario seed and independent of honest-path
+/// RNG draws. The per-node intercept sequence is itself
 /// shard-count-invariant (a node's local event order never depends on
-/// the partition), so the corruption schedule is byte-identical at any
-/// shard count, unlike a shared mt19937 stream whose draws interleave
-/// across nodes.
+/// the partition), so under the ShardedDriver the corruption schedule is
+/// byte-identical at any shard count.
 class KeyedAdversary final : public pastry::AdversaryPolicy {
  public:
   KeyedAdversary(AdversaryBehavior behavior, double strike,
@@ -132,7 +111,7 @@ class AdversaryController {
   AdversaryBehavior behavior_;
   double strike_;
   std::uint64_t seed_;
-  std::unordered_map<net::Address, std::unique_ptr<ScriptedAdversary>>
+  std::unordered_map<net::Address, std::unique_ptr<KeyedAdversary>>
       policies_;
   std::vector<net::Address> sybils_;
 };

@@ -315,25 +315,4 @@ void OverlayDriver::finish() {
   metrics_.finalize(sim_.now(), cfg_.loss_grace);
 }
 
-void OverlayDriver::run_trace(const trace::ChurnTrace& trace,
-                              SimDuration extra) {
-  std::unordered_map<std::int32_t, net::Address> session_addr;
-  for (const trace::ChurnEvent& e : trace.events()) {
-    sim_.schedule_at(e.time, [this, e, &session_addr] {
-      if (e.type == trace::ChurnEventType::kJoin) {
-        session_addr[e.node] = add_node();
-      } else {
-        const auto it = session_addr.find(e.node);
-        if (it != session_addr.end()) {
-          kill_node(it->second);
-          session_addr.erase(it);
-        }
-      }
-    });
-  }
-  start_workload();
-  sim_.run_until(trace.duration() + extra);
-  finish();
-}
-
 }  // namespace mspastry::overlay

@@ -13,7 +13,6 @@
 #include "overlay/oracle.hpp"
 #include "pastry/node.hpp"
 #include "sim/simulator.hpp"
-#include "trace/churn_trace.hpp"
 
 namespace mspastry::overlay {
 
@@ -51,10 +50,11 @@ struct DriverConfig {
   std::uint64_t seed = 7;
 };
 
-/// Binds everything together: the simulator, the network model, the churn
-/// trace, the lookup workload, the oracle, and the metrics. This is the
-/// "experiment harness" equivalent of the paper's simulator setup
-/// (Section 5.1).
+/// Imperative single-threaded harness: the simulator, the network model,
+/// the lookup workload, the oracle, and the metrics, driven call by call
+/// (add_node / kill_node / issue_lookup / run_for). Chaos scenarios, unit
+/// tests and the examples use it. Trace-driven experiments run on
+/// ShardedDriver (overlay/sharded_driver.hpp), the one trace harness.
 class OverlayDriver {
  public:
   OverlayDriver(std::shared_ptr<const net::Topology> topology,
@@ -63,12 +63,6 @@ class OverlayDriver {
 
   OverlayDriver(const OverlayDriver&) = delete;
   OverlayDriver& operator=(const OverlayDriver&) = delete;
-
-  /// Run a full churn trace with the configured lookup workload, then
-  /// finalize metrics. Runs `extra` of simulated time beyond the last
-  /// trace event so in-flight traffic settles.
-  void run_trace(const trace::ChurnTrace& trace,
-                 SimDuration extra = seconds(30));
 
   // --- Manual control (tests, examples, applications) ---------------------
 
@@ -102,10 +96,10 @@ class OverlayDriver {
   void run_until(SimTime t) { sim_.run_until(t); }
   void run_for(SimDuration d) { sim_.run_until(sim_.now() + d); }
 
-  /// Start the Poisson lookup workload (run_trace does this itself).
+  /// Start the Poisson lookup workload.
   void start_workload();
 
-  /// Finalize metrics (run_trace does this itself).
+  /// Finalize metrics.
   void finish();
 
   // --- Introspection -------------------------------------------------------
@@ -131,9 +125,6 @@ class OverlayDriver {
     if (it == lookup_verdicts_.end()) return std::nullopt;
     return it->second;
   }
-
-  /// Shared routing-table row slab (scale telemetry: rows, bytes).
-  const pastry::NodeArena& routing_arena() const { return node_arena_; }
 
   pastry::PastryNode* node(net::Address a);
   std::size_t live_node_count() const { return nodes_.size(); }

@@ -612,17 +612,17 @@ void ShardedDriver::schedule_workload_tick(ShardEnv& env) {
   // Poisson with rate N * rate, exactly like the single-threaded driver's
   // aggregate process, but each node draws only from its own stream. With
   // an app attached the rate is the app's (a pure function of time,
-  // re-sampled each tick — the same piecewise approximation the serial
-  // fig8 pump uses). The callback is liveness-guarded by env.schedule, so
-  // a killed node's pending tick fires into nothing.
+  // re-sampled each tick: a piecewise approximation, fine because the
+  // rate changes on the hour scale). The callback is liveness-guarded by
+  // env.schedule, so a killed node's pending tick fires into nothing.
   const double rate = std::max(workload_rate(env.now()), 1e-6);
   const SimDuration gap = from_seconds(env.rng().exponential(1.0 / rate));
   ShardEnv* e = &env;
   env.schedule(gap, [this, e] {
     if (!workload_on_) return;
-    // Armed adversarial sessions issue no workload: sources stay honest,
-    // matching the serial benches' probe convention, so failure rates
-    // measure the adversary's effect on *victims*, not its self-drops.
+    // Armed adversarial sessions issue no workload: sources stay honest
+    // (the secure-routing probe convention), so failure rates measure
+    // the adversary's effect on *victims*, not its self-drops.
     const bool armed_adversary =
         adv_ && e->now() >= adv_->arm_at &&
         sessions_[e->uid()].adversarial;
@@ -644,9 +644,8 @@ void ShardedDriver::issue_workload_lookup(ShardEnv& env) {
   NodeId key = env.rng().node_id();
   if (adv_ && env.now() >= adv_->arm_at) {
     // Honest-rooted keys (bounded redraws from the node's own stream,
-    // against the barrier-snapshot oracle — concurrent reads are safe):
-    // the serial adversary benches redraw probe keys the same way, so
-    // correctness verdicts measure misrouting, not keys the adversary
+    // against the barrier-snapshot oracle — concurrent reads are safe),
+    // so correctness verdicts measure misrouting, not keys the adversary
     // legitimately owns.
     for (int i = 0; i < kHonestKeyRedraws; ++i) {
       const auto root = oracle_.root_of(key);

@@ -46,9 +46,9 @@ struct ShardedAdversaryConfig {
   /// controller's shuffle prefix).
   double fraction = 0.0;
   double strike = 1.0;
-  /// Policies install at this instant (typically warmup end, matching
-  /// the serial benches that corrupt after the overlay settles); sybil
-  /// joins are scheduled here too. Sessions created later arm on join.
+  /// Policies install at this instant (typically warmup end, so the
+  /// overlay settles before it is corrupted); sybil joins are scheduled
+  /// here too. Sessions created later arm on join.
   SimTime arm_at = 0;
   /// Sybil sessions joined around eclipse_victim at arm_at, ids
   /// alternating ± k*2^104 like AdversaryController::join_eclipse_cluster.

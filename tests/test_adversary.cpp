@@ -1,4 +1,4 @@
-// The adversary subsystem: scripted Byzantine behaviors, the controller's
+// The adversary subsystem: keyed Byzantine behaviors, the controller's
 // deterministic population management, eclipse clustering vs the density
 // countermeasure, diverse-path redundancy vs interception, the
 // delivered-at-oracle-root expectation rule, and composition with network
@@ -22,7 +22,7 @@ namespace {
 
 using overlay::AdversaryBehavior;
 using overlay::AdversaryController;
-using overlay::ScriptedAdversary;
+using overlay::KeyedAdversary;
 using RouteAction = pastry::AdversaryPolicy::RouteAction;
 
 std::shared_ptr<net::Topology> small_topology() {
@@ -117,15 +117,15 @@ struct ProbeBoard {
   }
 };
 
-// ------------------------------------------------------ scripted behaviors
+// --------------------------------------------------------- keyed behaviors
 
-TEST(ScriptedAdversary, BehaviorsMapToRouteActions) {
+TEST(KeyedAdversary, BehaviorsMapToRouteActions) {
   pastry::MessagePool pool;
   auto m = pastry::make_msg<pastry::LookupMsg>(pool);
-  ScriptedAdversary drop(AdversaryBehavior::kDrop, 1.0, 1);
-  ScriptedAdversary misroute(AdversaryBehavior::kMisroute, 1.0, 1);
-  ScriptedAdversary lie(AdversaryBehavior::kLie, 1.0, 1);
-  ScriptedAdversary passive(AdversaryBehavior::kDrop, 0.0, 1);
+  KeyedAdversary drop(AdversaryBehavior::kDrop, 1.0, 1, 5);
+  KeyedAdversary misroute(AdversaryBehavior::kMisroute, 1.0, 1, 5);
+  KeyedAdversary lie(AdversaryBehavior::kLie, 1.0, 1, 5);
+  KeyedAdversary passive(AdversaryBehavior::kDrop, 0.0, 1, 5);
   EXPECT_EQ(drop.on_route(*m, false), RouteAction::kDrop);
   EXPECT_EQ(misroute.on_route(*m, true), RouteAction::kMisroute);
   // Liars route faithfully — their damage is in control-plane replies.
@@ -134,13 +134,13 @@ TEST(ScriptedAdversary, BehaviorsMapToRouteActions) {
   EXPECT_EQ(passive.on_route(*m, false), RouteAction::kHonest);
 }
 
-TEST(ScriptedAdversary, LiarCorruptsRepliesOthersDoNot) {
+TEST(KeyedAdversary, LiarCorruptsRepliesOthersDoNot) {
   pastry::LeafVec leaf;
   for (std::uint64_t i = 1; i <= 8; ++i) {
     leaf.push_back({NodeId{0, i << 8}, static_cast<net::Address>(i)});
   }
   pastry::FailedVec failed;
-  ScriptedAdversary lie(AdversaryBehavior::kLie, 1.0, 7);
+  KeyedAdversary lie(AdversaryBehavior::kLie, 1.0, 7, 3);
   EXPECT_TRUE(lie.corrupt_ls_reply(leaf, failed));
   // False death claims: entries moved wholesale from live to failed.
   EXPECT_FALSE(failed.empty());
@@ -153,7 +153,7 @@ TEST(ScriptedAdversary, LiarCorruptsRepliesOthersDoNot) {
   EXPECT_TRUE(lie.corrupt_nn_reply(cands));
   EXPECT_EQ(cands.size(), 1u);  // neighbourhood concealed
 
-  ScriptedAdversary drop(AdversaryBehavior::kDrop, 1.0, 7);
+  KeyedAdversary drop(AdversaryBehavior::kDrop, 1.0, 7, 3);
   pastry::LeafVec leaf2 = cands.empty() ? pastry::LeafVec{} : leaf;
   pastry::FailedVec failed2;
   EXPECT_FALSE(drop.corrupt_ls_reply(leaf2, failed2));

@@ -8,7 +8,7 @@
 
 #include "chord/chord_driver.hpp"
 #include "net/transit_stub.hpp"
-#include "overlay/driver.hpp"
+#include "overlay/sharded_driver.hpp"
 #include "trace/churn_generators.hpp"
 
 namespace mspastry {
@@ -195,7 +195,7 @@ TEST(ChordVsMSPastry, BaselineMisdeliversUnderChurnMSPastryDoesNot) {
   pcfg.lookup_rate_per_node = 0.02;
   pcfg.warmup = minutes(10);
   pcfg.seed = 60;
-  overlay::OverlayDriver pd(topo(), {}, pcfg);
+  overlay::ShardedDriver pd(topo(), {}, pcfg, 1);
   pd.run_trace(trace);
 
   const double chord_bad =

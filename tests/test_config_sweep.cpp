@@ -10,6 +10,7 @@
 
 #include "net/transit_stub.hpp"
 #include "overlay/driver.hpp"
+#include "overlay/sharded_driver.hpp"
 #include "trace/churn_generators.hpp"
 
 namespace mspastry {
@@ -136,7 +137,7 @@ TEST_P(FeatureSweepTest, ChurnStaysConsistent) {
       cfg.pastry.per_hop_acks = false;
       break;
   }
-  OverlayDriver d(topo(), {}, cfg);
+  overlay::ShardedDriver d(topo(), {}, cfg, 1);
   const auto trace = trace::generate_poisson(minutes(30), 30 * 60.0, 60,
                                              777 + cfg.seed);
   d.run_trace(trace);

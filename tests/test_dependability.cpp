@@ -9,6 +9,7 @@
 
 #include "net/transit_stub.hpp"
 #include "overlay/driver.hpp"
+#include "overlay/sharded_driver.hpp"
 #include "trace/churn_generators.hpp"
 
 namespace mspastry {
@@ -37,7 +38,7 @@ RunResult run_churn(DriverConfig cfg, double net_loss, SimDuration length,
                     double session_s, int population, std::uint64_t seed) {
   net::NetworkConfig ncfg;
   ncfg.loss_rate = net_loss;
-  OverlayDriver d(topo(), ncfg, cfg);
+  overlay::ShardedDriver d(topo(), ncfg, cfg, 1);
   const auto trace =
       trace::generate_poisson(length, session_s, population, seed);
   d.run_trace(trace);
@@ -173,7 +174,7 @@ TEST(Dependability, NoFalsePositivesWithoutLoss) {
   (void)r;
   // run_churn cannot expose false positives directly; rerun inline.
   DriverConfig cfg = base_cfg(51);
-  OverlayDriver d(topo(), {}, cfg);
+  overlay::ShardedDriver d(topo(), {}, cfg, 1);
   const auto trace = trace::generate_poisson(minutes(40), 1200.0, 60, 111);
   d.run_trace(trace);
   EXPECT_EQ(d.counters().false_positives, 0u);

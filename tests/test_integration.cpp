@@ -6,6 +6,7 @@
 #include "net/hier_as.hpp"
 #include "net/transit_stub.hpp"
 #include "overlay/driver.hpp"
+#include "overlay/sharded_driver.hpp"
 #include "trace/churn_generators.hpp"
 
 namespace mspastry {
@@ -155,7 +156,7 @@ TEST(Integration, ChurnKeepsRoutingConsistent) {
   cfg.lookup_rate_per_node = 0.01;
   cfg.warmup = minutes(10);
   cfg.seed = 26;
-  OverlayDriver d(topo(), {}, cfg);
+  overlay::ShardedDriver d(topo(), {}, cfg, 1);
   const auto trace = trace::generate_poisson(minutes(50), 20 * 60.0, 80, 5);
   d.run_trace(trace);
   const auto& m = d.metrics();
@@ -216,12 +217,12 @@ TEST(Integration, DeterministicForSameSeed) {
     cfg.lookup_rate_per_node = 0.05;
     cfg.warmup = 0;
     cfg.seed = 29;
-    OverlayDriver d(topo(), {}, cfg);
+    overlay::ShardedDriver d(topo(), {}, cfg, 1);
     const auto trace = trace::generate_poisson(minutes(15), 600.0, 40, 9);
     d.run_trace(trace);
     return std::tuple{d.metrics().lookups_issued(),
                       d.metrics().lookups_delivered_correct(),
-                      d.sim().executed_events()};
+                      d.executed_events()};
   };
   EXPECT_EQ(run(), run());
 }

@@ -27,7 +27,6 @@
 #include "obs/trace_dump.hpp"
 #include "overlay/adversary.hpp"
 #include "overlay/chaos.hpp"
-#include "overlay/driver.hpp"
 #include "overlay/sharded_driver.hpp"
 #include "trace/churn_generators.hpp"
 
@@ -47,10 +46,10 @@ struct Options {
   double duration_min = 90.0; // poisson only
   double loss = 0.0;
   double lookup_rate = 0.01;
-  bool squirrel = false;  // sharded: attach the Squirrel-style web cache
+  bool squirrel = false;  // attach the Squirrel-style web cache
   std::uint64_t seed = 7;
-  std::size_t shards = 0;    // 0 = classic engine; N>=1 = sharded engine
-  bool fault_recipe = false; // canonical loss+spike+duplicate plan (sharded)
+  std::size_t shards = 1;    // worker shards of the keyed engine
+  bool fault_recipe = false; // canonical loss+spike+duplicate plan
   std::string chaos;              // named scenario | "all" | "list"
   std::uint64_t chaos_seed = 0;   // 0 = use --seed
   std::string adversary;          // behavior:fraction, e.g. misroute:0.2
@@ -88,18 +87,20 @@ void usage() {
       "  --seed S               RNG seed (default 7); feeds the network,\n"
       "                         trace, and chaos streams, printed in the\n"
       "                         run header for reproducibility\n"
-      "  --shards N             run on the parallel sharded engine with N\n"
-      "                         worker shards; output is byte-identical to\n"
-      "                         --shards 1, including --adversary,\n"
-      "                         --eclipse-victim and --squirrel runs\n"
-      "                         (not compatible with --chaos)\n"
-      "  --fault-recipe         sharded only: install the canonical fault\n"
-      "                         plan (1% loss, 20 ms delay spike mid-run,\n"
-      "                         0.5% duplication) on every shard\n"
-      "  --squirrel             sharded only: attach the Squirrel-style\n"
-      "                         cooperative web cache (diurnal request\n"
-      "                         workload, home-node caching) and report\n"
-      "                         hit rates and request latencies\n"
+      "  --shards N             worker shards of the keyed trace engine\n"
+      "                         (default 1); the results block is\n"
+      "                         byte-identical for every N, including\n"
+      "                         --adversary, --eclipse-victim and\n"
+      "                         --squirrel runs (ignored by --chaos)\n"
+      "  --fault-recipe         install the canonical fault plan (1% loss,\n"
+      "                         20 ms delay spike mid-run, 0.5%\n"
+      "                         duplication) on every shard; the loss and\n"
+      "                         duplication draws are per shard, so the\n"
+      "                         results depend on --shards\n"
+      "  --squirrel             attach the Squirrel-style cooperative web\n"
+      "                         cache (diurnal request workload, home-node\n"
+      "                         caching) and report hit rates and request\n"
+      "                         latencies\n"
       "  --chaos SCENARIO       run a chaos scenario instead of a trace:\n"
       "                         asym-partition|flap|delay-spike|dup-reorder|\n"
       "                         gray-stall|combined|byzantine-drop|\n"
@@ -245,8 +246,8 @@ void print_series(const char* name,
   for (const auto& p : s) std::printf("%.6g\t%.6g\n", p.t_seconds, p.value);
 }
 
-/// The paper's evaluation block, shared by the single-threaded and
-/// sharded paths (adversary extras are printed by the caller).
+/// The paper's evaluation block (adversary extras are printed by the
+/// caller).
 void print_results(overlay::Metrics& m, const pastry::Counters& c,
                    std::uint64_t executed_events) {
   std::printf("\nresults (post-warmup)\n");
@@ -274,7 +275,7 @@ void print_results(overlay::Metrics& m, const pastry::Counters& c,
               (unsigned long long)executed_events);
 }
 
-/// Causal-trace dump + expectation checking, shared by both engines.
+/// Causal-trace dump + expectation checking.
 int finish_tracing(const Options& o, const obs::TraceDomain& domain,
                    std::size_t overlay_size,
                    const overlay::DriverConfig& dcfg) {
@@ -306,8 +307,8 @@ int finish_tracing(const Options& o, const obs::TraceDomain& domain,
   return rc;
 }
 
-/// Parse --adversary behavior:fraction (shared by both engines). Returns
-/// false (after printing to stderr) on a malformed spec.
+/// Parse --adversary behavior:fraction. Returns false (after printing to
+/// stderr) on a malformed spec.
 bool parse_adversary_spec(const Options& o,
                           overlay::AdversaryBehavior& behavior,
                           double& fraction) {
@@ -335,7 +336,7 @@ bool parse_adversary_spec(const Options& o,
   return true;
 }
 
-/// Adversary result block shared by both engines.
+/// Adversary result block.
 void print_adversary_results(overlay::Metrics& m,
                              const pastry::Counters& c) {
   std::printf("  incorrect: adversarial    %llu (stale leaf set %llu)\n",
@@ -356,7 +357,7 @@ void print_adversary_results(overlay::Metrics& m,
               (unsigned long long)c.failure_claims_distrusted);
 }
 
-int run_sharded(const Options& o, std::shared_ptr<net::Topology> topology,
+int run_trace(const Options& o, std::shared_ptr<net::Topology> topology,
                 const net::NetworkConfig& ncfg,
                 const overlay::DriverConfig& dcfg,
                 const trace::ChurnTrace& churn) {
@@ -585,62 +586,5 @@ int main(int argc, char** argv) {
   dcfg.obs.enabled = tracing;
   dcfg.obs.sample_rate = o.trace_sample;
 
-  if (o.shards >= 1) return run_sharded(o, topology, ncfg, dcfg, churn);
-  if (o.fault_recipe) {
-    std::fprintf(stderr, "--fault-recipe requires --shards N (N > 1)\n");
-    return 2;
-  }
-
-  overlay::OverlayDriver driver(topology, ncfg, dcfg);
-
-  // Adversary: parse behavior:fraction, arm at warmup (the overlay is
-  // populated by then), print the configuration + seed in the header so
-  // the run is reproducible from the printed line alone.
-  std::unique_ptr<overlay::AdversaryController> adversary;
-  if (!o.adversary.empty() || !o.eclipse_victim.empty()) {
-    overlay::AdversaryBehavior behavior;
-    double fraction = 0.0;
-    if (!parse_adversary_spec(o, behavior, fraction)) return 2;
-    const std::uint64_t adv_seed = o.seed ^ 0xadd5a17ull;
-    adversary = std::make_unique<overlay::AdversaryController>(
-        driver, behavior, 1.0, adv_seed);
-    std::printf(
-        "adversary: behavior %s, fraction %.2f%s%s, seed %llu, armed at "
-        "warmup (%.0f s); countermeasures: redundancy %d, leaf-checks %s\n",
-        overlay::to_string(behavior), fraction,
-        o.eclipse_victim.empty() ? "" : ", eclipse victim ",
-        o.eclipse_victim.c_str(), (unsigned long long)adv_seed,
-        to_seconds(dcfg.warmup), o.redundancy, o.leaf_checks ? "on" : "off");
-    overlay::AdversaryController* adv = adversary.get();
-    const Options* opt = &o;
-    driver.sim().schedule_at(dcfg.warmup, [adv, opt, fraction] {
-      if (!opt->eclipse_victim.empty()) {
-        adv->join_eclipse_cluster(NodeId::from_string(opt->eclipse_victim),
-                                  16, /*join_gap=*/0);
-      }
-      if (!opt->adversary.empty()) adv->corrupt_fraction(fraction);
-      std::printf("adversary armed: %s\n", adv->describe().c_str());
-    });
-  }
-
-  driver.run_trace(churn);
-
-  auto& m = driver.metrics();
-  const auto& c = driver.counters();
-  print_results(m, c, driver.sim().executed_events());
-  if (adversary != nullptr) print_adversary_results(m, c);
-
-  if (o.series == "rdp" || o.series == "all") {
-    print_series("RDP", m.rdp_series());
-  }
-  if (o.series == "control" || o.series == "all") {
-    print_series("control traffic (msgs/s/node)",
-                 m.control_traffic_series(churn.duration()));
-  }
-
-  if (tracing) {
-    return finish_tracing(o, *driver.trace_domain(),
-                          driver.oracle().active_count(), dcfg);
-  }
-  return 0;
+  return run_trace(o, topology, ncfg, dcfg, churn);
 }
