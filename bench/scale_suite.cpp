@@ -54,6 +54,10 @@ struct Phase {
   std::uint64_t peak_rss = 0;  ///< process peak at phase end (monotone)
   std::uint64_t digest = 0;
   std::uint64_t live_nodes = 0;  ///< slice end: overlay- or trace-derived
+  /// Slice end, kOverlay only: mean PeerTable records and heap bytes per
+  /// live node (the first field of the per-node memory census).
+  double peer_entries_per_node = 0.0;
+  double peer_table_bytes_per_node = 0.0;
   std::size_t shards = 0;        ///< kOverlay only
   std::size_t effective_shards = 0;
   std::uint64_t epochs = 0;
@@ -79,6 +83,8 @@ void emit_phase(JsonEmitter& out, const Phase& p) {
     row.field("shards", p.shards)
         .field("effective_shards", p.effective_shards)
         .field("epochs", p.epochs)
+        .field("peer_entries_per_node", p.peer_entries_per_node)
+        .field("peer_table_bytes_per_node", p.peer_table_bytes_per_node)
         .field("rdp", p.summary.rdp)
         .field("control_traffic", p.summary.control_traffic)
         .field("loss_rate", p.summary.loss_rate)
@@ -102,6 +108,9 @@ void emit_phase(JsonEmitter& out, const Phase& p) {
       p.events_per_sec / 1e3, p.peak_rss / (1024.0 * 1024.0),
       static_cast<unsigned long long>(p.digest));
   if (p.kind != Phase::Kind::kTraceOnly) {
+    std::printf("  %-18s peer table: %.0f entries, %.1f KB per live node\n",
+                "", p.peer_entries_per_node,
+                p.peer_table_bytes_per_node / 1024.0);
     std::printf(
         "  %-18s delay oracle: %s, %d clusters, %d landmarks, "
         "%.1f MB tables, row cache %.1f MB (%llu rows)\n",
@@ -200,6 +209,12 @@ Phase run_overlay(const std::string& name, const std::string& params,
   driver.run_trace(trace);
   p.summary = summarize(driver, timer.seconds());
   p.live_nodes = driver.live_node_count();
+  const auto census = driver.peer_census();
+  if (census.nodes > 0) {
+    const auto n = static_cast<double>(census.nodes);
+    p.peer_entries_per_node = static_cast<double>(census.entries) / n;
+    p.peer_table_bytes_per_node = static_cast<double>(census.bytes) / n;
+  }
   p.shards = shards;
   p.effective_shards = driver.effective_shards();
   p.epochs = driver.epochs();

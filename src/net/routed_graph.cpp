@@ -15,7 +15,9 @@ void RoutedGraph::add_link(int a, int b, double weight, SimDuration delay) {
   adjacency_[b].push_back(Edge{a, weight, delay});
   links_ += 2;
   if (delay < min_link_delay_) min_link_delay_ = delay;
-  clear_cache();  // paths may change; generators build before querying
+  // Paths may change. Generators build before querying, so during a build
+  // there is nothing to drop and the sweep over every row slot is skipped.
+  if (cached_rows() > 0) clear_cache();
 }
 
 void RoutedGraph::clear_cache() {

@@ -272,9 +272,12 @@ ShardedDriver::~ShardedDriver() {
   // destructors cancel their timers and return arena rows. The default
   // member destruction then runs the engine down (releasing in-flight
   // message references) before the pools assert live() == 0.
+  for (NodeState& ns : nodes_) {
+    if (ns.node == nullptr) continue;
+    ns.env->shutdown();
+    NodeState dead = std::move(ns);  // destroyed node first, env last
+  }
   for (auto& sh : shards_) {
-    for (auto& [a, ns] : sh->nodes) ns.env->shutdown();
-    sh->nodes.clear();
     for (auto& row : sh->outbox) row.clear();
   }
 }
@@ -477,8 +480,8 @@ void ShardedDriver::deliver(std::size_t dst_shard, net::Address from,
     return;
   }
   --sh.in_flight;
-  const auto it = sh.nodes.find(to);
-  if (it == sh.nodes.end()) {
+  NodeState& ns = nodes_[static_cast<std::size_t>(to)];
+  if (ns.node == nullptr) {
     ++sh.unbound;
     // The sender's ring may live on another shard: defer the drop record
     // through the ledger (ordered by the sender's packet seq, stream 1 —
@@ -508,11 +511,11 @@ void ShardedDriver::deliver(std::size_t dst_shard, net::Address from,
   }
   ++sh.delivered;
   if (auto m = dynamic_pointer_cast<const pastry::Message>(msg)) {
-    it->second.node->handle(from, std::move(m));
+    ns.node->handle(from, std::move(m));
     return;
   }
   if (app_ != nullptr) {
-    app_->packet(AppNode(this, it->second.env.get()), from, msg);
+    app_->packet(AppNode(this, ns.env.get()), from, msg);
   }
 }
 
@@ -536,7 +539,9 @@ void ShardedDriver::create_session(std::uint32_t uid) {
   if (s.adversarial && adv_ && env->join_started_ >= adv_->arm_at) {
     install_policy(uid, ns);
   }
-  sh.nodes.emplace(addr, std::move(ns));
+  assert(nodes_[uid].node == nullptr);
+  nodes_[uid] = std::move(ns);
+  ++sh.live_nodes;
 
   LogEvent e;
   e.kind = LogEvent::Kind::kJoinStarted;
@@ -556,37 +561,35 @@ void ShardedDriver::create_session(std::uint32_t uid) {
 }
 
 void ShardedDriver::try_join(std::uint32_t uid) {
-  Shard& sh = *shards_[sessions_[uid].shard];
-  const auto it = sh.nodes.find(static_cast<net::Address>(uid));
-  if (it == sh.nodes.end()) return;  // session died while waiting
-  ShardEnv& env = *it->second.env;
+  NodeState& ns = nodes_[uid];
+  if (ns.node == nullptr) return;  // session died while waiting
+  ShardEnv& env = *ns.env;
   if (const auto cand = env.bootstrap_candidate()) {
-    it->second.node->join(*cand);
+    ns.node->join(*cand);
   } else {
     env.schedule(kJoinRetryDelay, [this, uid] { try_join(uid); });
   }
 }
 
 void ShardedDriver::kill_session(std::uint32_t uid) {
-  Shard& sh = *shards_[sessions_[uid].shard];
-  const auto it = sh.nodes.find(static_cast<net::Address>(uid));
-  if (it == sh.nodes.end()) return;
-  ShardEnv& env = *it->second.env;
+  NodeState& ns = nodes_[uid];
+  if (ns.node == nullptr) return;
+  ShardEnv& env = *ns.env;
   LogEvent e;
   e.kind = LogEvent::Kind::kFailed;
   e.id = sessions_[uid].id;
   e.a = static_cast<net::Address>(uid);
   env.log(std::move(e));
   env.shutdown();
-  sh.nodes.erase(it);  // node destroyed on its own shard; timers cancelled
+  // Node destroyed on its own shard (timers cancelled), then its env.
+  { NodeState dead = std::move(ns); }
+  --shards_[sessions_[uid].shard]->live_nodes;
 }
 
 void ShardedDriver::arm_session(std::uint32_t uid) {
   // Install the policy on one corrupted session if it is live; a session
   // dead at arm time arms on its next join (create_session).
-  Shard& sh = *shards_[sessions_[uid].shard];
-  const auto it = sh.nodes.find(static_cast<net::Address>(uid));
-  if (it != sh.nodes.end()) install_policy(uid, it->second);
+  if (nodes_[uid].node != nullptr) install_policy(uid, nodes_[uid]);
 }
 
 void ShardedDriver::install_policy(std::uint32_t uid, NodeState& ns) {
@@ -638,9 +641,8 @@ void ShardedDriver::schedule_workload_tick(ShardEnv& env) {
 }
 
 void ShardedDriver::issue_workload_lookup(ShardEnv& env) {
-  Shard& sh = *shards_[sessions_[env.uid()].shard];
-  const auto it = sh.nodes.find(static_cast<net::Address>(env.uid()));
-  if (it == sh.nodes.end()) return;
+  const NodeState& ns = nodes_[env.uid()];
+  if (ns.node == nullptr) return;
   NodeId key = env.rng().node_id();
   if (adv_ && env.now() >= adv_->arm_at) {
     // Honest-rooted keys (bounded redraws from the node's own stream,
@@ -660,7 +662,7 @@ void ShardedDriver::issue_workload_lookup(ShardEnv& env) {
   e.a = env.self().addr;
   e.u = id;
   env.log(std::move(e));
-  it->second.node->lookup(key, id, 0, cfg_.lookups_want_ack, nullptr);
+  ns.node->lookup(key, id, 0, cfg_.lookups_want_ack, nullptr);
 }
 
 void ShardedDriver::apply_barrier(SimTime epoch_end) {
@@ -850,6 +852,8 @@ void ShardedDriver::run_trace(const trace::ChurnTrace& trace,
     }
   }
 
+  nodes_.resize(sessions_.size());
+
   // Router-contiguous partition: sort sessions by (router, uid) and cut
   // into near-equal blocks only at router boundaries, so cross-shard
   // pairs always sit on distinct routers (the lookahead's premise).
@@ -1016,8 +1020,20 @@ std::int64_t ShardedDriver::packets_in_flight() const {
 
 std::size_t ShardedDriver::live_node_count() const {
   std::size_t v = 0;
-  for (const auto& sh : shards_) v += sh->nodes.size();
+  for (const auto& sh : shards_) v += sh->live_nodes;
   return v;
+}
+
+ShardedDriver::PeerCensus ShardedDriver::peer_census() const {
+  PeerCensus c;
+  for (const NodeState& ns : nodes_) {
+    if (ns.node == nullptr) continue;
+    const auto d = ns.node->debug_state();
+    ++c.nodes;
+    c.entries += d.peer_entries;
+    c.bytes += d.peer_table_bytes;
+  }
+  return c;
 }
 
 // --- AppNode: the per-upcall façade handed to ShardedApp hooks. ---------
@@ -1038,9 +1054,8 @@ pastry::MessagePool& ShardedDriver::AppNode::pool() const {
 
 std::uint64_t ShardedDriver::AppNode::issue_lookup(
     NodeId key, std::uint64_t payload, net::PacketPtr app_data) const {
-  Shard& sh = *d_->shards_[env_->shard()];
-  const auto it = sh.nodes.find(env_->self().addr);
-  if (it == sh.nodes.end()) return 0;  // node died under the app's feet
+  const NodeState& ns = d_->nodes_[env_->uid()];
+  if (ns.node == nullptr) return 0;  // node died under the app's feet
   const std::uint64_t id = env_->next_lookup_id();
   LogEvent e;
   e.kind = LogEvent::Kind::kIssued;
@@ -1048,8 +1063,8 @@ std::uint64_t ShardedDriver::AppNode::issue_lookup(
   e.a = env_->self().addr;
   e.u = id;
   env_->log(std::move(e));
-  it->second.node->lookup(key, id, payload, d_->cfg_.lookups_want_ack,
-                          std::move(app_data));
+  ns.node->lookup(key, id, payload, d_->cfg_.lookups_want_ack,
+                  std::move(app_data));
   return id;
 }
 

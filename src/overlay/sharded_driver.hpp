@@ -228,6 +228,16 @@ class ShardedDriver {
 
   std::size_t live_node_count() const;
 
+  /// Per-peer state held by the live nodes (PastryNode's PeerTable):
+  /// records and heap bytes summed over nodes. Call between runs, not
+  /// while run_trace is executing.
+  struct PeerCensus {
+    std::size_t nodes = 0;
+    std::size_t entries = 0;
+    std::size_t bytes = 0;
+  };
+  PeerCensus peer_census() const;
+
  private:
   friend class ShardEnv;
 
@@ -294,7 +304,7 @@ class ShardedDriver {
     std::unique_ptr<obs::TraceDomain> obs;  ///< per-shard rings (if enabled)
     std::vector<LogEvent> log;
     std::vector<std::vector<OutMsg>> outbox;  ///< one row per dest shard
-    std::unordered_map<net::Address, NodeState> nodes;
+    std::size_t live_nodes = 0;  ///< occupied nodes_ slots of this shard
     // Packet accounting (see packets_in_flight() on the aggregate).
     std::uint64_t sent = 0;
     std::uint64_t lost = 0;
@@ -353,6 +363,11 @@ class ShardedDriver {
   ShardedSimulator engine_;
 
   std::vector<Session> sessions_;
+  /// One slot per session uid (an address is its session's uid), sized
+  /// with sessions_ before the run; empty while the session is not live.
+  /// Slot uid belongs to shard sessions_[uid].shard: only that shard's
+  /// worker touches it during the parallel phase.
+  std::vector<NodeState> nodes_;
   std::uint32_t first_session_ = 0;  ///< designated bootstrap session
 
   // --- Global ledger (barrier-phase only) ---------------------------------

@@ -12,8 +12,8 @@
 #include "pastry/env.hpp"
 #include "pastry/leaf_set.hpp"
 #include "pastry/message.hpp"
+#include "pastry/peer_table.hpp"
 #include "pastry/routing_table.hpp"
-#include "pastry/rtt_estimator.hpp"
 #include "pastry/self_tuning.hpp"
 #include "pastry/types.hpp"
 
@@ -96,7 +96,8 @@ class PastryNode {
   /// True while `a` is excluded from routing after a missed per-hop ack
   /// (suspected but not yet condemned; cleared by any message heard).
   bool currently_excludes(net::Address a) const {
-    return excluded_.count(a) > 0;
+    const PeerState* p = peers_.find(a);
+    return p != nullptr && p->excluded;
   }
 
   /// Install (or clear, with nullptr) a Byzantine behavior policy. Not
@@ -119,6 +120,8 @@ class PastryNode {
     std::size_t buffered_messages = 0;
     std::size_t failed_set_size = 0;
     std::size_t excluded_size = 0;
+    std::size_t peer_entries = 0;     ///< peers with a PeerTable record
+    std::size_t peer_table_bytes = 0; ///< heap bytes of the PeerTable
     int nn_outstanding = 0;
     bool small_ring_converged = false;
     int repair_stalls = 0;
@@ -242,8 +245,9 @@ class PastryNode {
 
   // --- Bookkeeping -----------------------------------------------------------
   /// A message was heard directly from `d`: refresh liveness, clear
-  /// false-positive state, let the routing table learn the descriptor.
-  void heard_from(const NodeDescriptor& d);
+  /// false-positive state. Returns d's record (valid until the next
+  /// PeerTable mutation), or nullptr when `d` is invalid or this node.
+  PeerState* heard_from(const NodeDescriptor& d);
 
   /// Flight-recorder hooks (obs/events.hpp). Node-scoped events carry
   /// trace id 0 and are recorded whenever tracing is on; path-scoped
@@ -317,11 +321,6 @@ class PastryNode {
   };
   std::unordered_map<net::Address, RtProbeState> rt_probing_;
 
-  /// Nodes temporarily excluded from routing after a missed per-hop ack;
-  /// cleared when any message is heard from them or they are marked
-  /// faulty.
-  std::unordered_set<net::Address> excluded_;
-
   /// In-flight forwarded messages awaiting per-hop acks.
   struct PendingAck {
     IntrusivePtr<RoutedMessage> msg;
@@ -334,34 +333,18 @@ class PastryNode {
   std::unordered_map<std::uint64_t, PendingAck> pending_acks_;
   std::uint64_t next_hop_seq_ = 1;
 
-  /// Per-destination RTT estimators (for RTO and as PNS seed data).
-  std::unordered_map<net::Address, RttEstimator> rtt_;
-
-  /// Liveness bookkeeping for suppression and the right-neighbour watch.
-  std::unordered_map<net::Address, SimTime> last_heard_;
-  std::unordered_map<net::Address, SimTime> last_sent_;
-
-  /// Suppression evidence: like last_heard_, but excluding replies to our
-  /// own probes — a probe's reply must not suppress the next probe, or
-  /// the effective probing period silently doubles.
-  std::unordered_map<net::Address, SimTime> suppress_heard_;
-
-  /// When each routing-table entry was last due a liveness probe.
-  std::unordered_map<net::Address, SimTime> last_probe_due_;
+  /// Everything remembered per peer: liveness and suppression evidence,
+  /// Trt hints, distance-measurement times, RTT estimators and ack
+  /// exclusion. mark_faulty and LEAVE erase a peer's whole record.
+  PeerTable peers_;
 
   /// Buffered routed messages (node inactive, or leaf set mid-repair).
   std::vector<IntrusivePtr<RoutedMessage>> buffered_;
 
   /// Self-tuning state.
   FailureRateEstimator fail_est_;
-  std::unordered_map<net::Address, double> trt_hints_;
   double trt_local_s_;
   double trt_current_s_;
-
-  /// Addresses whose distance was measured recently (TTL-limited), so
-  /// periodic gossip does not endlessly re-probe candidates that never
-  /// win a slot.
-  std::unordered_map<net::Address, SimTime> measured_at_;
 
   /// Distance-probe sessions.
   struct DistanceSession {

@@ -91,14 +91,7 @@ void PastryNode::mark_faulty(const NodeDescriptor& j, bool announce) {
   leaf_.remove(j.addr);
   notify_right_changed();
   rt_.remove(j.addr);
-  excluded_.erase(j.addr);
-  trt_hints_.erase(j.addr);
-  last_probe_due_.erase(j.addr);
-  suppress_heard_.erase(j.addr);
-  measured_at_.erase(j.addr);
-  last_heard_.erase(j.addr);
-  last_sent_.erase(j.addr);
-  rtt_.erase(j.addr);
+  peers_.erase(j.addr);
   trace_node(obs::EventKind::kCondemn, j.addr);
   failed_.emplace(j.addr, FailedEntry{j, env_.now()});
   fail_est_.record_failure(env_.now());
@@ -215,7 +208,7 @@ void PastryNode::handle_ls_probe(const LsProbeMsg& m, bool is_reply) {
     const auto it = ls_probing_.find(j.addr);
     if (it != ls_probing_.end()) {
       if (it->second.retries == 0) {
-        rtt_[j.addr].sample(env_.now() - it->second.sent_at);
+        peers_.get(j.addr).rtt.sample(env_.now() - it->second.sent_at);
       }
       cancel_timer(it->second.timer);
       ls_probing_.erase(it);
@@ -424,8 +417,9 @@ void PastryNode::heartbeat_tick() {
   const auto left = leaf_.left_neighbour();
   if (!left) return;
   if (cfg_.suppression) {
-    const auto it = last_sent_.find(left->addr);
-    if (it != last_sent_.end() && env_.now() - it->second < cfg_.t_ls) {
+    const PeerState* p = peers_.find(left->addr);
+    if (p != nullptr && p->has(PeerState::kSent) &&
+        env_.now() - p->last_sent < cfg_.t_ls) {
       ++counters_.heartbeats_suppressed;
       return;
     }
@@ -438,8 +432,9 @@ void PastryNode::watch_tick() {
   watch_timer_ = env_.schedule(cfg_.t_ls, [this] { watch_tick(); });
   const auto right = leaf_.right_neighbour();
   if (!right) return;
-  const auto it = last_heard_.find(right->addr);
-  const SimTime heard = it != last_heard_.end() ? it->second : 0;
+  const PeerState* p = peers_.find(right->addr);
+  const SimTime heard =
+      p != nullptr && p->has(PeerState::kHeard) ? p->last_heard : 0;
   if (env_.now() - heard > cfg_.t_ls + cfg_.t_o) {
     // SUSPECT-FAULTY (Figure 2); first-hand detection announces.
     ++counters_.ls_probes_suspect;

@@ -41,17 +41,20 @@ void PastryNode::send(net::Address to, const IntrusivePtr<Message>& m) {
   assert(to != net::kNullAddress);
   m->sender = self_;
   m->trt_hint_s = cfg_.self_tuning ? trt_local_s_ : 0.0;
-  last_sent_[to] = env_.now();
+  PeerState& p = peers_.get(to);
+  p.stamp(PeerState::kSent, p.last_sent, env_.now());
   env_.send(to, m);
 }
 
-void PastryNode::heard_from(const NodeDescriptor& d) {
-  if (!d.valid() || d.id == self_.id) return;
-  last_heard_[d.addr] = env_.now();
-  excluded_.erase(d.addr);  // evidence of liveness ends ack-exclusion
+PeerState* PastryNode::heard_from(const NodeDescriptor& d) {
+  if (!d.valid() || d.id == self_.id) return nullptr;
+  PeerState& p = peers_.get(d.addr);
+  p.stamp(PeerState::kHeard, p.last_heard, env_.now());
+  p.excluded = false;  // evidence of liveness ends ack-exclusion
   if (failed_.erase(d.addr) > 0) {  // recover from false positives
     trace_node(obs::EventKind::kAbsolve, d.addr);
   }
+  return &p;
 }
 
 std::size_t PastryNode::routing_state_size() const {
@@ -114,7 +117,10 @@ PastryNode::DebugState PastryNode::debug_state() const {
   d.pending_acks = pending_acks_.size();
   d.buffered_messages = buffered_.size();
   d.failed_set_size = failed_.size();
-  d.excluded_size = excluded_.size();
+  d.excluded_size =
+      peers_.count_if([](const PeerState& p) { return p.excluded; });
+  d.peer_entries = peers_.size();
+  d.peer_table_bytes = peers_.bytes();
   d.nn_outstanding = nn_outstanding_;
   d.small_ring_converged = small_ring_converged_;
   d.repair_stalls = repair_stalls_;
@@ -142,15 +148,24 @@ void PastryNode::leave() {
 
 void PastryNode::handle(net::Address from, const MessagePtr& msg) {
   assert(msg != nullptr);
-  heard_from(msg->sender);
+  PeerState* sender = heard_from(msg->sender);
   // Any unsolicited message (including acks, per Section 4.1) counts as
   // probe-suppressing evidence; replies to our own probes do not.
-  if (msg->type != MsgType::kRtProbeReply &&
-      msg->type != MsgType::kLsProbeReply &&
-      msg->type != MsgType::kDistanceProbeReply) {
-    suppress_heard_[from] = env_.now();
+  const bool unsolicited = msg->type != MsgType::kRtProbeReply &&
+                           msg->type != MsgType::kLsProbeReply &&
+                           msg->type != MsgType::kDistanceProbeReply;
+  if (unsolicited || msg->trt_hint_s > 0.0) {
+    PeerState& p = sender != nullptr && msg->sender.addr == from
+                       ? *sender
+                       : peers_.get(from);
+    if (unsolicited) {
+      p.stamp(PeerState::kSuppressHeard, p.suppress_heard, env_.now());
+    }
+    if (msg->trt_hint_s > 0.0) {
+      p.trt_hint_s = msg->trt_hint_s;
+      p.present |= PeerState::kTrtHint;
+    }
   }
-  if (msg->trt_hint_s > 0.0) trt_hints_[from] = msg->trt_hint_s;
 
   switch (msg->type) {
     case MsgType::kLookup: {
@@ -211,7 +226,7 @@ void PastryNode::handle(net::Address from, const MessagePtr& msg) {
       const auto it = rt_probing_.find(from);
       if (it != rt_probing_.end()) {
         if (it->second.retries == 0) {
-          rtt_[from].sample(env_.now() - it->second.sent_at);
+          peers_.get(from).rtt.sample(env_.now() - it->second.sent_at);
         }
         cancel_timer(it->second.timer);
         rt_probing_.erase(it);
@@ -327,14 +342,7 @@ void PastryNode::handle(net::Address from, const MessagePtr& msg) {
       leaf_.remove(from);
       notify_right_changed();
       rt_.remove(from);
-      excluded_.erase(from);
-      trt_hints_.erase(from);
-      last_probe_due_.erase(from);
-      suppress_heard_.erase(from);
-      last_heard_.erase(from);
-      last_sent_.erase(from);
-      rtt_.erase(from);
-      measured_at_.erase(from);
+      peers_.erase(from);
       if (active_ && !leaf_complete()) repair_leaf_set();
       return;
     }
@@ -347,7 +355,7 @@ void PastryNode::handle(net::Address from, const MessagePtr& msg) {
 
 bool PastryNode::is_excluded(net::Address a,
                              const std::vector<net::Address>& excluded) const {
-  if (excluded_.count(a) > 0 || in_failed(a)) return true;
+  if (currently_excludes(a) || in_failed(a)) return true;
   return std::find(excluded.begin(), excluded.end(), a) != excluded.end();
 }
 
@@ -587,8 +595,8 @@ void PastryNode::flush_buffered() {
 // ---------------------------------------------------------------------------
 
 SimDuration PastryNode::rto_for(net::Address a) const {
-  const auto it = rtt_.find(a);
-  if (it != rtt_.end() && it->second.seeded()) return it->second.rto(cfg_);
+  const PeerState* p = peers_.find(a);
+  if (p != nullptr && p->rtt.seeded()) return p->rtt.rto(cfg_);
   // No sample yet: if the routing table knows a measured RTT, derive an
   // aggressive timeout from it; otherwise use the configured initial RTO.
   const RoutingTable::Entry* e = rt_.find(a);
@@ -640,7 +648,7 @@ void PastryNode::on_ack(net::Address from, std::uint64_t hop_seq) {
   trace_path(obs::EventKind::kAckRecv, it->second.msg->trace_id, from,
              it->second.msg->hops, hop_seq);
   cancel_timer(it->second.timer);
-  rtt_[from].sample(env_.now() - it->second.sent_at);
+  peers_.get(from).rtt.sample(env_.now() - it->second.sent_at);
   pending_acks_.erase(it);
 }
 
@@ -695,7 +703,7 @@ void PastryNode::on_ack_timeout(std::uint64_t hop_seq) {
 
   // Temporarily exclude the unresponsive node and probe it; it is only
   // marked faulty if the probe times out.
-  excluded_.insert(pending.dest);
+  peers_.get(pending.dest).excluded = true;
   trace_node(obs::EventKind::kSuspect, pending.dest);
   if (auto d = leaf_.find(pending.dest)) {
     // First-hand suspicion (missed ack): announce if confirmed dead.

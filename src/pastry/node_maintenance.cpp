@@ -23,14 +23,15 @@ void PastryNode::retune() {
   // plus our own (Section 4.1).
   std::vector<double> est;
   est.push_back(trt_local_s_);
-  for (const NodeDescriptor& m : leaf_.members()) {
-    const auto it = trt_hints_.find(m.addr);
-    if (it != trt_hints_.end()) est.push_back(it->second);
-  }
-  rt_.for_each([&](int, int, const RoutingTable::Entry& e) {
-    const auto it = trt_hints_.find(e.node.addr);
-    if (it != trt_hints_.end()) est.push_back(it->second);
-  });
+  const auto add_hint = [&](net::Address a) {
+    const PeerState* p = peers_.find(a);
+    if (p != nullptr && p->has(PeerState::kTrtHint)) {
+      est.push_back(p->trt_hint_s);
+    }
+  };
+  for (const NodeDescriptor& m : leaf_.members()) add_hint(m.addr);
+  rt_.for_each(
+      [&](int, int, const RoutingTable::Entry& e) { add_hint(e.node.addr); });
   const auto mid = est.begin() + static_cast<std::ptrdiff_t>(est.size() / 2);
   std::nth_element(est.begin(), mid, est.end());
   trt_current_s_ = std::clamp(*mid, to_seconds(cfg_.t_rt_min),
@@ -52,19 +53,20 @@ void PastryNode::rt_scan_tick() {
   rt_.for_each([&](int, int, const RoutingTable::Entry& e) {
     if (leaf_.contains(e.node.addr)) return;  // covered by the leaf-set
                                               // heartbeat structure
-    auto [due_it, inserted] = last_probe_due_.try_emplace(e.node.addr, now);
-    if (inserted) return;  // fresh entry: first probe one period from now
-    if (now - due_it->second < period) return;  // not due yet
-    if (cfg_.suppression) {
-      const auto heard = suppress_heard_.find(e.node.addr);
-      if (heard != suppress_heard_.end() && now - heard->second < period) {
-        // Other traffic replaced this probing cycle (Section 4.1).
-        ++counters_.rt_probes_suppressed;
-        due_it->second = now;
-        return;
-      }
+    PeerState& p = peers_.get(e.node.addr);
+    if (!p.has(PeerState::kProbeDue)) {
+      // Fresh entry: first probe one period from now.
+      p.stamp(PeerState::kProbeDue, p.last_probe_due, now);
+      return;
     }
-    due_it->second = now;
+    if (now - p.last_probe_due < period) return;  // not due yet
+    p.last_probe_due = now;
+    if (cfg_.suppression && p.has(PeerState::kSuppressHeard) &&
+        now - p.suppress_heard < period) {
+      // Other traffic replaced this probing cycle (Section 4.1).
+      ++counters_.rt_probes_suppressed;
+      return;
+    }
     ++counters_.rt_probes_periodic;
     to_probe.push_back(e.node);
   });
@@ -120,9 +122,9 @@ std::uint64_t PastryNode::start_distance_session(const NodeDescriptor& target,
   assert(probes >= 1);
   if (target.id == self_.id || in_failed(target.addr)) return 0;
   if (purpose == ProbePurpose::kRtCandidate) {
-    const auto it = measured_at_.find(target.addr);
-    if (it != measured_at_.end() &&
-        env_.now() - it->second < cfg_.distance_measurement_ttl) {
+    const PeerState* p = peers_.find(target.addr);
+    if (p != nullptr && p->has(PeerState::kMeasured) &&
+        env_.now() - p->measured_at < cfg_.distance_measurement_ttl) {
       return 0;  // measured recently; gossip will re-offer it later anyway
     }
   }
@@ -178,7 +180,7 @@ void PastryNode::on_distance_reply(net::Address from, std::uint64_t seq) {
   if (s.target.addr != from) return;
   const SimDuration rtt = env_.now() - probe.sent_at;
   s.samples.push_back(rtt);
-  rtt_[from].sample(rtt);
+  peers_.get(from).rtt.sample(rtt);
   if (static_cast<int>(s.samples.size()) == s.want) {
     cancel_timer(s.timer);
     finish_distance_session(probe.session);
@@ -226,8 +228,9 @@ void PastryNode::on_distance_measured(const NodeDescriptor& target,
 void PastryNode::consider_for_rt(const NodeDescriptor& d, SimDuration rtt,
                                  bool report_symmetric) {
   if (d.id == self_.id || in_failed(d.addr)) return;
-  measured_at_[d.addr] = env_.now();
-  rtt_[d.addr].sample(rtt);  // seed the RTO estimator too
+  PeerState& p = peers_.get(d.addr);
+  p.stamp(PeerState::kMeasured, p.measured_at, env_.now());
+  p.rtt.sample(rtt);  // seed the RTO estimator too
   rt_.add_with_rtt(d, rtt, cfg_.pns);
   if (report_symmetric) {
     auto m = make_msg<DistanceReportMsg>(env_.pool());

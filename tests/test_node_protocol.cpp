@@ -330,6 +330,95 @@ TEST(NodeProtocol, HearingFromExcludedNodeLiftsExclusion) {
   EXPECT_EQ(h.node->debug_state().excluded_size, 0u);
 }
 
+// Condemning a peer and hearing its LEAVE forget everything remembered
+// about it: exclusion, and the send time that would otherwise suppress the
+// first heartbeat to it after it returns. l = 2 keeps the leaf set
+// complete once the peer is back, so no repair probe goes to it before
+// the heartbeat.
+int heartbeats_to(const std::vector<testing::MockEnv::Sent>& sent,
+                  net::Address to) {
+  int n = 0;
+  for (const auto& s : sent) {
+    n += s.to == to && s.msg->type == MsgType::kHeartbeat;
+  }
+  return n;
+}
+
+/// Run until the node's next heartbeat tick has fired (sent or
+/// suppressed); requires a left neighbour.
+void run_past_next_tick(NodeHarness& h) {
+  const auto ticks = [&] {
+    return h.counters.heartbeats_sent + h.counters.heartbeats_suppressed;
+  };
+  const auto before = ticks();
+  while (ticks() == before) h.env.run_for(milliseconds(100));
+}
+
+/// Node 2 (left neighbour) returns after being forgotten; node 1 (right
+/// neighbour) answers the repair probes its departure caused.
+void bring_back_left_neighbour(NodeHarness& h) {
+  h.receive_ls_probe(nd(990, 2), {}, {}, /*reply=*/true);
+  h.receive_ls_probe(nd(1010, 1), {}, {}, /*reply=*/true);
+  ASSERT_TRUE(h.node->leaf_set().contains(2));
+  h.env.drain();
+}
+
+TEST(NodeProtocol, MarkFaultyForgetsPeerState) {
+  Config cfg;
+  cfg.l = 2;
+  NodeHarness h(kSelf, cfg);
+  h.node->bootstrap();
+  h.receive_ls_probe(nd(990, 2));   // left neighbour
+  h.receive_ls_probe(nd(1010, 1));  // right neighbour
+  h.env.drain();
+  h.node->lookup(NodeId{0, 989}, 7);  // routed to node 2, never acked
+  h.env.run_for(seconds(8));          // timeout + retransmit + exclusion
+  EXPECT_TRUE(h.node->currently_excludes(2));
+  EXPECT_EQ(h.node->debug_state().excluded_size, 1u);
+  const std::size_t entries = h.node->debug_state().peer_entries;
+  // The suspicion probes go unanswered: node 2 is condemned.
+  h.env.run_for((cfg.max_probe_retries + 1) * cfg.t_o + seconds(1));
+  ASSERT_EQ(h.env.marked_faulty(), std::vector<net::Address>{2});
+  EXPECT_FALSE(h.node->currently_excludes(2));
+  EXPECT_EQ(h.node->debug_state().excluded_size, 0u);
+  EXPECT_EQ(h.node->debug_state().peer_entries, entries - 1);
+  // It was only slow. Once it is back, the next heartbeat goes out
+  // although the probes to it were sent less than Tls before.
+  bring_back_left_neighbour(h);
+  const auto suppressed = h.counters.heartbeats_suppressed;
+  run_past_next_tick(h);
+  EXPECT_EQ(heartbeats_to(h.env.drain(), 2), 1);
+  EXPECT_EQ(h.counters.heartbeats_suppressed, suppressed);
+}
+
+TEST(NodeProtocol, LeaveForgetsPeerState) {
+  Config cfg;
+  cfg.l = 2;
+  NodeHarness h(kSelf, cfg);
+  h.node->bootstrap();
+  h.receive_ls_probe(nd(990, 2));   // left neighbour
+  h.receive_ls_probe(nd(1010, 1));  // right neighbour
+  h.env.drain();
+  h.node->lookup(NodeId{0, 989}, 7);
+  h.env.run_for(seconds(8));
+  EXPECT_TRUE(h.node->currently_excludes(2));
+  EXPECT_EQ(h.node->debug_state().excluded_size, 1u);
+  // A probe answered just before the LEAVE: a send to node 2 right now.
+  h.receive(nd(990, 2), make_refcounted<pastry::RtProbeMsg>(false));
+  const std::size_t entries = h.node->debug_state().peer_entries;
+  h.receive(nd(990, 2), make_refcounted<pastry::LeaveMsg>());
+  EXPECT_FALSE(h.node->currently_excludes(2));
+  EXPECT_EQ(h.node->debug_state().excluded_size, 0u);
+  EXPECT_EQ(h.node->debug_state().peer_entries, entries - 1);
+  // The session comes back: nothing sent before its LEAVE suppresses the
+  // next heartbeat to it.
+  bring_back_left_neighbour(h);
+  const auto suppressed = h.counters.heartbeats_suppressed;
+  run_past_next_tick(h);
+  EXPECT_EQ(heartbeats_to(h.env.drain(), 2), 1);
+  EXPECT_EQ(h.counters.heartbeats_suppressed, suppressed);
+}
+
 // --- Routing-table liveness probing + suppression ------------------------------
 
 TEST(NodeProtocol, RtProbeIsAnswered) {
