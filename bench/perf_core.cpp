@@ -3,36 +3,29 @@
 // determinism checksum in BENCH_core.json (plus BENCH_msgpath.json for
 // the message-path replay):
 //
-//   1. `micro`  — a raw schedule/cancel/fire microbenchmark run twice:
-//                 once on the production `Simulator` and once on
-//                 `LegacySimulator`, a frozen copy of the pre-rewrite core
-//                 (priority_queue + callbacks map + cancelled set). The
-//                 two must produce identical execution-order checksums;
-//                 their throughput ratio is the recorded speedup.
+//   1. `micro`  — a raw schedule/cancel/fire microbenchmark on the
+//                 production `Simulator` (execution-order checksum).
 //   2. `fig4`   — the Figure-4-style Gnutella churn replay (the workload
 //                 every paper table/figure is built from).
 //   3. `chaos`  — the combined fault-injection scenario from the chaos
 //                 harness (timer-cancel heavy: retries, probes, faults).
 //   4. `msgpath`— a Figure-4-mix message allocate/send/dispatch replay
-//                 run twice: once on the pooled intrusive-refcount path
-//                 and once on a frozen copy of the pre-PR-3 shared_ptr +
-//                 std::vector message layer. Content digests must match;
-//                 the pooled run must not touch the heap after warmup.
+//                 on the pooled intrusive-refcount path; it must not
+//                 touch the heap after warmup, and the same replay with
+//                 tracing compiled in but disabled must stay within 1 %.
 //
 // The checksums let any later event-core change prove it preserved
 // observable behaviour: same executed-event counts, same metrics digest.
+// Correctness against reference models lives in the tier-1 tests
+// (EventCoreDifferential, MessagePoolDifferential).
 //
 // Usage: perf_core [--smoke]   (--smoke: CI-sized run, a few seconds)
 //        REPRO_FULL=1 perf_core  for paper-scale replay
 
 #include <cstdlib>
 #include <cstring>
-#include <functional>
 #include <memory>
-#include <queue>
 #include <random>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "bench_util.hpp"
 #include "common/inplace_callback.hpp"
@@ -47,78 +40,6 @@ using namespace mspastry;
 using namespace mspastry::bench;
 
 namespace {
-
-// --- Frozen pre-rewrite event core (PR 1 vintage) ---------------------------
-//
-// Kept verbatim so the microbench always measures new-vs-old on the same
-// machine, and so the checksum cross-check does not depend on a recorded
-// number from somebody else's hardware. Do not "improve" this class.
-class LegacySimulator {
- public:
-  using Callback = std::function<void()>;
-
-  SimTime now() const { return now_; }
-
-  TimerId schedule_at(SimTime t, Callback fn) {
-    const TimerId id = next_id_++;
-    heap_.push(Entry{t < now_ ? now_ : t, id});
-    callbacks_.emplace(id, std::move(fn));
-    return id;
-  }
-
-  TimerId schedule_after(SimDuration d, Callback fn) {
-    return schedule_at(now_ + d, std::move(fn));
-  }
-
-  void cancel(TimerId id) {
-    if (id == kInvalidTimer) return;
-    const auto it = callbacks_.find(id);
-    if (it == callbacks_.end()) return;
-    callbacks_.erase(it);
-    cancelled_.insert(id);
-  }
-
-  bool step() {
-    prune();
-    if (heap_.empty()) return false;
-    const Entry e = heap_.top();
-    heap_.pop();
-    now_ = e.t;
-    auto it = callbacks_.find(e.id);
-    Callback fn = std::move(it->second);
-    callbacks_.erase(it);
-    ++executed_;
-    fn();
-    return true;
-  }
-
-  std::uint64_t executed_events() const { return executed_; }
-
- private:
-  struct Entry {
-    SimTime t;
-    TimerId id;
-    bool operator>(const Entry& o) const {
-      return t != o.t ? t > o.t : id > o.id;
-    }
-  };
-
-  void prune() {
-    while (!heap_.empty()) {
-      const auto it = cancelled_.find(heap_.top().id);
-      if (it == cancelled_.end()) return;
-      cancelled_.erase(it);
-      heap_.pop();
-    }
-  }
-
-  SimTime now_ = kTimeZero;
-  TimerId next_id_ = 1;
-  std::uint64_t executed_ = 0;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap_;
-  std::unordered_map<TimerId, Callback> callbacks_;
-  std::unordered_set<TimerId> cancelled_;
-};
 
 // --- Raw schedule/cancel/fire microbench ------------------------------------
 
@@ -136,11 +57,9 @@ struct MicroResult {
 /// a deep steady-state queue (tens of thousands of outstanding timers),
 /// short per-hop ack timeouts mixed with long heartbeat periods, and
 /// about a third of all timers cancelled before they fire (acks arrive,
-/// probes get answered). Identical PRNG decisions on both cores, so the
-/// execution order checksum must match exactly.
-template <typename Sim>
+/// probes get answered). The execution-order checksum is deterministic.
 MicroResult run_micro(std::uint64_t target_executed, std::size_t prefill) {
-  Sim sim;
+  Simulator sim;
   std::mt19937_64 prng(0x5eedc0de);
   std::vector<TimerId> live;  // candidates for cancellation
   live.reserve(prefill + 1024);
@@ -217,74 +136,11 @@ std::uint64_t chaos_digest(const overlay::ChaosResult& r) {
   return h;
 }
 
-// --- Frozen pre-PR-3 message layer ------------------------------------------
-//
-// A verbatim copy of what the message path looked like before the pooled
-// rewrite: one make_shared per message (atomic control block), std::vector
-// payloads heap-allocated per probe. Kept frozen for the same reason as
-// LegacySimulator: the speedup is always measured new-vs-old on the same
-// machine. Do not "improve" these types.
-namespace legacy_msg {
-
-using pastry::MsgType;
-using pastry::NodeDescriptor;
-
-struct Message {
-  explicit Message(MsgType t) : type(t) {}
-  virtual ~Message() = default;
-  MsgType type;
-  NodeDescriptor sender;
-  double trt_hint_s = 0.0;
-};
-
-struct LookupMsg final : Message {
-  LookupMsg() : Message(MsgType::kLookup) {}
-  NodeId key;
-  int hops = 0;
-  std::uint64_t hop_seq = 0;
-  std::uint64_t lookup_id = 0;
-};
-
-struct LsProbeMsg final : Message {
-  explicit LsProbeMsg(bool reply)
-      : Message(reply ? MsgType::kLsProbeReply : MsgType::kLsProbe) {}
-  std::vector<NodeDescriptor> leaf;
-  std::vector<NodeDescriptor> failed;
-};
-
-struct HeartbeatMsg final : Message {
-  HeartbeatMsg() : Message(MsgType::kHeartbeat) {}
-};
-
-struct RtProbeMsg final : Message {
-  explicit RtProbeMsg(bool reply)
-      : Message(reply ? MsgType::kRtProbeReply : MsgType::kRtProbe) {}
-};
-
-struct RtRowReplyMsg final : Message {
-  RtRowReplyMsg() : Message(MsgType::kRtRowReply) {}
-  int row = 0;
-  std::vector<NodeDescriptor> entries;
-};
-
-struct RtRowAnnounceMsg final : Message {
-  RtRowAnnounceMsg() : Message(MsgType::kRtRowAnnounce) {}
-  int row = 0;
-  std::vector<NodeDescriptor> entries;
-};
-
-struct AckMsg final : Message {
-  AckMsg() : Message(MsgType::kAck) {}
-  std::uint64_t hop_seq = 0;
-};
-
-}  // namespace legacy_msg
-
 // --- Message-path replay ----------------------------------------------------
 
 /// Fast deterministic stream for the replay's decisions: the digesting
 /// and decision machinery must stay cheap, or it drowns out the
-/// allocation/refcount cost the two paths differ on.
+/// allocation/refcount cost being measured.
 struct SplitMix64 {
   std::uint64_t s;
   explicit SplitMix64(std::uint64_t seed) : s(seed) {}
@@ -308,7 +164,6 @@ std::uint64_t fold_descriptor(std::uint64_t acc,
 
 /// The production path: slab pool + intrusive refcount + SmallVec payloads.
 struct PooledMsgPath {
-  static constexpr const char* kName = "pooled";
   using Ptr = pastry::MessagePtr;
 
   pastry::MessagePool pool;
@@ -456,162 +311,6 @@ struct PooledMsgPath {
   }
 };
 
-/// The frozen baseline: same factory/dispatch surface over legacy_msg.
-struct LegacyMsgPath {
-  static constexpr const char* kName = "shared_ptr";
-  using Ptr = std::shared_ptr<const legacy_msg::Message>;
-
-  std::uint64_t chunk_allocs() const { return 0; }
-
-  template <class It>
-  Ptr make_ls_probe(const pastry::NodeDescriptor& sender, bool reply,
-                    It peers, std::size_t nleaf, std::size_t nfailed) {
-    auto m = std::make_shared<legacy_msg::LsProbeMsg>(reply);
-    m->sender = sender;
-    m->leaf.assign(peers, peers + nleaf);
-    m->failed.assign(peers + nleaf, peers + nleaf + nfailed);
-    return m;
-  }
-
-  template <class It>
-  Ptr make_row_reply(const pastry::NodeDescriptor& sender, int row, It peers,
-                     std::size_t nentries) {
-    auto m = std::make_shared<legacy_msg::RtRowReplyMsg>();
-    m->sender = sender;
-    m->row = row;
-    m->entries.assign(peers, peers + nentries);
-    return m;
-  }
-
-  Ptr make_lookup(const pastry::NodeDescriptor& sender, NodeId key,
-                  std::uint64_t lookup_id, std::uint64_t hop_seq) {
-    auto m = std::make_shared<legacy_msg::LookupMsg>();
-    m->sender = sender;
-    m->key = key;
-    m->lookup_id = lookup_id;
-    m->hop_seq = hop_seq;
-    return m;
-  }
-
-  Ptr make_heartbeat(const pastry::NodeDescriptor& sender) {
-    auto m = std::make_shared<legacy_msg::HeartbeatMsg>();
-    m->sender = sender;
-    return m;
-  }
-
-  Ptr make_rt_probe(const pastry::NodeDescriptor& sender, bool reply) {
-    auto m = std::make_shared<legacy_msg::RtProbeMsg>(reply);
-    m->sender = sender;
-    return m;
-  }
-
-  Ptr make_ack(const pastry::NodeDescriptor& sender, std::uint64_t hop_seq) {
-    auto m = std::make_shared<legacy_msg::AckMsg>();
-    m->sender = sender;
-    m->hop_seq = hop_seq;
-    return m;
-  }
-
-  /// Per-hop forward, pre-PR-3 style: make_shared a fresh message and copy
-  /// the fields across.
-  Ptr clone_lookup(const Ptr& m, const pastry::NodeDescriptor& hop) {
-    const auto& src = static_cast<const legacy_msg::LookupMsg&>(*m);
-    auto c = std::make_shared<legacy_msg::LookupMsg>();
-    c->sender = hop;
-    c->key = src.key;
-    c->lookup_id = src.lookup_id;
-    c->hop_seq = src.hop_seq + 1;
-    return c;
-  }
-
-  /// Join-time row broadcast the way the pre-PR-3 announce_rows worked: a
-  /// fresh make_shared (atomic control block) and a fresh heap payload
-  /// vector for EVERY destination in the fanout.
-  template <class It, class PushFn>
-  void announce_row(const pastry::NodeDescriptor& sender, int row, It peers,
-                    std::size_t nentries, unsigned fanout, PushFn&& push) {
-    for (unsigned i = 0; i < fanout; ++i) {
-      auto m = std::make_shared<legacy_msg::RtRowAnnounceMsg>();
-      m->sender = sender;
-      m->row = row;
-      m->entries.assign(peers, peers + nentries);
-      push(send(std::move(m)));
-    }
-  }
-
-  /// Hand a freshly built message to the network the way the pre-PR-3
-  /// code did: Network::send took the shared_ptr by value and *copied* it
-  /// into the delivery callback's capture.
-  static Ptr send(Ptr m) {
-    Ptr queued(m);
-    return queued;
-  }
-
-  /// Take the packet out of the delivery queue the way the pre-PR-3 code
-  /// did: the delivery callback captured the shared_ptr by value, deliver
-  /// copied it again (`p = packet`), and the dynamic_pointer_cast into
-  /// the handler made a third copy — three atomic refcount round-trips
-  /// per dispatch.
-  static Ptr retain(Ptr& slot) {
-    Ptr captured(slot);
-    slot.reset();
-    Ptr delivered(captured);
-    Ptr cast(delivered);
-    return cast;
-  }
-
-  static std::uint64_t dispatch(std::uint64_t h, const Ptr& p) {
-    using pastry::MsgType;
-    std::uint64_t acc = static_cast<std::uint64_t>(p->type);
-    acc = fold_descriptor(acc, p->sender);
-    switch (p->type) {
-      case MsgType::kLsProbe:
-      case MsgType::kLsProbeReply: {
-        const auto& m = static_cast<const legacy_msg::LsProbeMsg&>(*p);
-        acc = (acc ^ (m.leaf.size() * 64 + m.failed.size())) *
-              0x100000001b3ull;
-        if (!m.leaf.empty()) {
-          acc = fold_descriptor(acc, m.leaf.front());
-          acc = fold_descriptor(acc, m.leaf.back());
-        }
-        if (!m.failed.empty()) acc = fold_descriptor(acc, m.failed.back());
-        break;
-      }
-      case MsgType::kRtRowReply: {
-        const auto& m = static_cast<const legacy_msg::RtRowReplyMsg&>(*p);
-        acc ^= static_cast<std::uint64_t>(m.row) + (m.entries.size() << 8);
-        if (!m.entries.empty()) {
-          acc = fold_descriptor(acc, m.entries.front());
-          acc = fold_descriptor(acc, m.entries.back());
-        }
-        break;
-      }
-      case MsgType::kRtRowAnnounce: {
-        const auto& m = static_cast<const legacy_msg::RtRowAnnounceMsg&>(*p);
-        acc ^= static_cast<std::uint64_t>(m.row) + (m.entries.size() << 8);
-        if (!m.entries.empty()) {
-          acc = fold_descriptor(acc, m.entries.front());
-          acc = fold_descriptor(acc, m.entries.back());
-        }
-        break;
-      }
-      case MsgType::kLookup: {
-        const auto& m = static_cast<const legacy_msg::LookupMsg&>(*p);
-        acc = (acc ^ m.key.value().lo) * 0x100000001b3ull;
-        acc = (acc ^ m.lookup_id) * 0x100000001b3ull;
-        acc ^= m.hop_seq;
-        break;
-      }
-      case MsgType::kAck:
-        acc ^= static_cast<const legacy_msg::AckMsg&>(*p).hop_seq;
-        break;
-      default:
-        break;
-    }
-    return (h ^ acc) * 0x100000001b3ull;
-  }
-};
-
 /// The pooled path with the observability layer compiled in but disabled:
 /// every dispatch pays exactly the guard the production trace_path()
 /// helper pays when no flight recorder is installed — a load of a
@@ -621,8 +320,6 @@ struct LegacyMsgPath {
 /// against a BENCH_msgpath.json recorded elsewhere would gate on the CI
 /// host's hardware, not on the code).
 struct TracedMsgPath : PooledMsgPath {
-  static constexpr const char* kName = "pooled+tracing-off";
-
   // Plain pointer, exactly like the per-node member in node_core: set at
   // runtime (see main), so the compiler keeps the null check but may cache
   // the load — which is the cost actually shipped, not a volatile reload.
@@ -661,15 +358,12 @@ struct MsgPathResult {
 /// protocol-shaped *bursts* that produce it: leaf-set and routing-table
 /// probes travel as probe/reply pairs, a lookup spawns a per-hop clone
 /// plus an ack, and a join-time row announce fans one row out to 8–15
-/// destinations — the case where the pre-PR-3 code built a fresh
-/// make_shared + payload vector per destination and the pooled path
-/// allocates once and pushes refcount aliases. Messages sit in a bounded
-/// in-flight window (the network's delivery queue) and dispatch in FIFO
-/// order. Occasionally an in-flight pointer is aliased — the fault plan's
-/// duplication rule delivers one packet twice — which on both paths is a
-/// refcount bump, not a deep copy. All decisions come from one PRNG
-/// stream shared by both paths, so the content digests must match
-/// exactly.
+/// destinations, allocated once and pushed as refcount aliases. Messages
+/// sit in a bounded in-flight window (the network's delivery queue) and
+/// dispatch in FIFO order. Occasionally an in-flight pointer is aliased —
+/// the fault plan's duplication rule delivers one packet twice — which is
+/// a refcount bump, not a deep copy. All decisions come from one PRNG
+/// stream, so the content digest is fixed for a given replay length.
 ///
 /// The replay runs twice on the same pool: the first (untimed) pass grows
 /// the slabs to this workload's exact peak per-type occupancy, so the
@@ -685,7 +379,7 @@ MsgPathResult run_msgpath(std::uint64_t target_msgs) {
     SplitMix64 prng(0x5eedc0de);
 
     // A fixed roster of peer descriptors; payloads copy slices of it (the
-    // copy, not the descriptor generation, is what the paths differ on).
+    // copy, not the descriptor generation, is what is measured).
     std::vector<pastry::NodeDescriptor> peers;
     peers.reserve(64);
     for (int i = 0; i < 64; ++i) {
@@ -694,7 +388,7 @@ MsgPathResult run_msgpath(std::uint64_t target_msgs) {
     const auto* pp = peers.data();
 
     // Fixed ring as the in-flight window: the shared queue machinery must
-    // stay cheap or it masks the per-message cost the two paths differ on.
+    // stay cheap or it masks the per-message cost being measured.
     constexpr std::size_t kRing = 32;  // > window 8 + largest burst (15)
     std::vector<typename Path::Ptr> ring(kRing);
     std::size_t head = 0, tail = 0, in_ring = 0;
@@ -713,9 +407,8 @@ MsgPathResult run_msgpath(std::uint64_t target_msgs) {
       push(Path::send(std::move(m)));
     };
     auto dispatch_front = [&] {
-      // Each path retains the packet across the handler the way its real
-      // delivery code does (see Path::retain): copies on the shared_ptr
-      // baseline, moves + one plain bump on the pooled path.
+      // Retain the packet across the handler the way the real delivery
+      // code does (see PooledMsgPath::retain): moves + one plain bump.
       typename Path::Ptr p = Path::retain(ring[head]);
       const std::uint64_t h = Path::dispatch(out.digest, p);
       if (record) out.digest = h;
@@ -828,7 +521,7 @@ int main(int argc, char** argv) {
   print_header("Event-core performance baseline (perf_core)");
   JsonEmitter out("core");
 
-  // --- 1. raw schedule/cancel microbench, new core vs frozen legacy core --
+  // --- 1. raw schedule/cancel microbench ---------------------------------
   // Same queue depth in both modes (depth is what shapes the heap and
   // cache behaviour); --smoke only trims how long we sustain it.
   const std::uint64_t micro_events = smoke ? 800'000 : 4'000'000;
@@ -838,39 +531,24 @@ int main(int argc, char** argv) {
                                    " prefill=" + std::to_string(prefill);
 
   std::printf("\n-- micro: schedule/cancel/fire (%s)\n", micro_params.c_str());
-  // Alternate the two cores and keep each one's best repetition: timing
-  // interference (shared CI hosts) is one-sided — it can only slow a
-  // run down — so best-of-N alternating is robust where a single pair of
-  // back-to-back runs is not. Checksums must agree across every rep.
+  // Keep the best repetition: timing interference (shared CI hosts) is
+  // one-sided — it can only slow a run down. Checksums must agree across
+  // every rep.
   const int reps = smoke ? 2 : 3;
-  MicroResult legacy, current;
+  MicroResult current;
   for (int r = 0; r < reps; ++r) {
-    const MicroResult l = run_micro<LegacySimulator>(micro_events, prefill);
-    const MicroResult c = run_micro<Simulator>(micro_events, prefill);
-    if (r == 0 || l.events_per_sec > legacy.events_per_sec) legacy = l;
-    if (r == 0 || c.events_per_sec > current.events_per_sec) current = c;
-    if (l.order_digest != c.order_digest) {
-      std::fprintf(stderr, "FATAL: micro digest mismatch in rep %d\n", r);
+    const MicroResult c = run_micro(micro_events, prefill);
+    if (r > 0 && c.order_digest != current.order_digest) {
+      std::fprintf(stderr, "FATAL: micro digest changed in rep %d\n", r);
       return 1;
     }
+    if (r == 0 || c.events_per_sec > current.events_per_sec) current = c;
   }
-  std::printf("  legacy : %10.0f events/s  %10.0f ops/s  %.3fs\n",
-              legacy.events_per_sec, legacy.ops_per_sec, legacy.wall_seconds);
-  std::printf("  current: %10.0f events/s  %10.0f ops/s  %.3fs\n",
+  std::printf("  %10.0f events/s  %10.0f ops/s  %.3fs  digest %016llx\n",
               current.events_per_sec, current.ops_per_sec,
-              current.wall_seconds);
-  const double speedup = legacy.events_per_sec > 0
-                             ? current.events_per_sec / legacy.events_per_sec
-                             : 0.0;
-  std::printf("  speedup: %.2fx   digests %s (%016llx)\n", speedup,
-              current.order_digest == legacy.order_digest ? "MATCH"
-                                                          : "MISMATCH",
+              current.wall_seconds,
               (unsigned long long)current.order_digest);
   emit_micro_row(out, "micro_current", current, micro_params);
-  emit_micro_row(out, "micro_legacy", legacy, micro_params);
-  out.row("micro_compare")
-      .field("speedup", speedup)
-      .field("digests_match", current.order_digest == legacy.order_digest);
 
   // --- 2. fig4-style Gnutella churn replay --------------------------------
   std::printf("\n-- fig4-style churn replay\n");
@@ -907,7 +585,7 @@ int main(int argc, char** argv) {
       .field("ok", chaos.ok())
       .hex("digest", cdigest);
 
-  // --- 4. message-path replay: pooled vs frozen shared_ptr ----------------
+  // --- 4. message-path replay: pooled path, zero steady-state heap -------
   // Written to its own BENCH_msgpath.json so the message-path trajectory
   // can be tracked (and diffed) independently of the event-core numbers.
   std::printf("\n-- msgpath: fig4-mix allocate/send/dispatch replay\n");
@@ -915,16 +593,10 @@ int main(int argc, char** argv) {
   const std::uint64_t msg_target = smoke ? 400'000 : 2'000'000;
   const std::string msg_params = "target_msgs=" + std::to_string(msg_target) +
                                  " inflight=8 mix=fig4-bursts";
-  MsgPathResult msg_legacy, msg_pooled;
+  MsgPathResult msg_pooled;
   for (int r = 0; r < reps; ++r) {
-    const MsgPathResult l = run_msgpath<LegacyMsgPath>(msg_target);
     const MsgPathResult c = run_msgpath<PooledMsgPath>(msg_target);
-    if (r == 0 || l.msgs_per_sec > msg_legacy.msgs_per_sec) msg_legacy = l;
     if (r == 0 || c.msgs_per_sec > msg_pooled.msgs_per_sec) msg_pooled = c;
-    if (l.digest != c.digest) {
-      std::fprintf(stderr, "FATAL: msgpath digest mismatch in rep %d\n", r);
-      return 1;
-    }
     if (c.steady_chunk_allocs != 0 || c.steady_spills != 0) {
       std::fprintf(stderr,
                    "FATAL: msgpath pooled run hit the heap after warmup "
@@ -934,27 +606,12 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  std::printf("  shared_ptr: %10.0f msgs/s  %.3fs\n", msg_legacy.msgs_per_sec,
-              msg_legacy.wall_seconds);
-  std::printf("  pooled    : %10.0f msgs/s  %.3fs\n", msg_pooled.msgs_per_sec,
-              msg_pooled.wall_seconds);
-  const double msg_speedup =
-      msg_legacy.msgs_per_sec > 0
-          ? msg_pooled.msgs_per_sec / msg_legacy.msgs_per_sec
-          : 0.0;
-  std::printf("  speedup: %.2fx   digests %s (%016llx)   steady-state heap "
-              "allocs: %llu\n",
-              msg_speedup,
-              msg_pooled.digest == msg_legacy.digest ? "MATCH" : "MISMATCH",
+  std::printf("  pooled: %10.0f msgs/s  %.3fs  digest %016llx  steady-state "
+              "heap allocs: %llu\n",
+              msg_pooled.msgs_per_sec, msg_pooled.wall_seconds,
               (unsigned long long)msg_pooled.digest,
               (unsigned long long)msg_pooled.steady_chunk_allocs);
   emit_msgpath_row(msg_out, "msgpath_pooled", msg_pooled, msg_params);
-  emit_msgpath_row(msg_out, "msgpath_legacy", msg_legacy, msg_params);
-  msg_out.row("msgpath_compare")
-      .field("speedup", msg_speedup)
-      .field("digests_match", msg_pooled.digest == msg_legacy.digest)
-      .field("zero_steady_state_heap", msg_pooled.steady_chunk_allocs == 0 &&
-                                           msg_pooled.steady_spills == 0);
 
   // --- 5. tracing-overhead rep: obs compiled in, recorder disabled --------
   // The observability guard (null-recorder test per message event) must
@@ -963,7 +620,7 @@ int main(int argc, char** argv) {
   // traced replay in the same loop: the two best-of-N results then see
   // the same machine state, so the ratio gates the guard, not whatever
   // the host's scheduler was doing during section 4. A 1% verdict on a
-  // tens-of-ms smoke replay also needs more reps than the speedup rows.
+  // tens-of-ms smoke replay also needs more reps than section 4.
   std::printf("\n-- msgpath: tracing compiled in but disabled\n");
   MsgPathResult msg_base, msg_traced;
   double traced_ratio = 0.0;  // best paired rep: one quiet pair proves it

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "common/hash_mix.hpp"
+
 namespace mspastry::net {
 
 const char* fault_kind_name(FaultKind k) {
@@ -197,9 +199,8 @@ std::string FaultRule::describe() const {
 FaultPlan::RuleId FaultPlan::add(FaultRule rule) {
   const RuleId id = next_id_++;
   const std::uint64_t seed =
-      rule.seed != 0 ? rule.seed
-                     : base_seed_ ^ (id * 0x9e3779b97f4a7c15ull);
-  rules_.push_back(Slot{id, std::move(rule), Rng(seed)});
+      rule.seed != 0 ? rule.seed : seed_ ^ (id * 0x9e3779b97f4a7c15ull);
+  rules_.push_back(Slot{id, std::move(rule), seed});
   return id;
 }
 
@@ -211,63 +212,53 @@ bool FaultPlan::remove(RuleId id) {
   return true;
 }
 
-std::size_t FaultPlan::active_rule_count(SimTime now) const {
-  std::size_t n = 0;
-  for (const Slot& s : rules_) {
-    if (now >= s.rule.start && now < s.rule.end) ++n;
-  }
-  return n;
-}
-
-FaultAction FaultPlan::apply(SimTime now, Address from, Address to) {
+FaultAction FaultPlan::apply(SimTime now, Address from, Address to,
+                             std::uint64_t seq) const {
+  const auto sender =
+      static_cast<std::uint64_t>(static_cast<std::uint32_t>(from));
   FaultAction act;
-  for (Slot& s : rules_) {
+  for (const Slot& s : rules_) {
     const FaultRule& r = s.rule;
     if (now < r.start || now >= r.end) continue;
     if (r.kind == FaultKind::kStall) continue;  // handled via stall_release
     if (!r.where.matches(from, to)) continue;
+    // The rule's draw for this packet: a hash of the packet's identity,
+    // so no rule's decision depends on any other packet or rule.
+    const std::uint64_t h = mix3(s.seed, sender, seq);
     switch (r.kind) {
       case FaultKind::kPartition:
         act.drop = true;
-        act.drop_kind = FaultKind::kPartition;
         break;
       case FaultKind::kLoss:
-        if (s.rng.chance(r.probability)) {
-          act.drop = true;
-          act.drop_kind = FaultKind::kLoss;
-        }
+        act.drop = hash_to_unit(h) < r.probability;
         break;
       case FaultKind::kFlap: {
         // Phase-based: up for duty_up * period at the start of each
-        // period, down for the rest. Deterministic without any RNG.
+        // period, down for the rest.
         const SimDuration period = std::max<SimDuration>(1, r.period);
         const SimDuration phase = (now - r.start) % period;
         const auto up_span = static_cast<SimDuration>(
             r.duty_up * static_cast<double>(period));
-        if (phase >= up_span) {
-          act.drop = true;
-          act.drop_kind = FaultKind::kFlap;
-        }
+        act.drop = phase >= up_span;
         break;
       }
       case FaultKind::kDelaySpike:
         act.extra_delay += r.extra_delay;
-        ++injected_[static_cast<std::size_t>(FaultKind::kDelaySpike)];
+        act.injected |= fault_bit(FaultKind::kDelaySpike);
         break;
       case FaultKind::kDuplicate:
-        if (s.rng.chance(r.probability)) {
+        if (hash_to_unit(h) < r.probability) {
           act.extra_copies += 1;
           act.dup_offset = std::max<SimDuration>(
               act.dup_offset, std::max<SimDuration>(1, r.dup_offset));
-          ++injected_[static_cast<std::size_t>(FaultKind::kDuplicate)];
+          act.injected |= fault_bit(FaultKind::kDuplicate);
         }
         break;
       case FaultKind::kReorder:
-        if (s.rng.chance(r.probability) && r.extra_delay > 0) {
+        if (hash_to_unit(h) < r.probability && r.extra_delay > 0) {
           act.extra_delay += static_cast<SimDuration>(
-              s.rng.uniform_index(static_cast<std::uint64_t>(r.extra_delay)) +
-              1);
-          ++injected_[static_cast<std::size_t>(FaultKind::kReorder)];
+              mix64(h) % static_cast<std::uint64_t>(r.extra_delay) + 1);
+          act.injected |= fault_bit(FaultKind::kReorder);
         }
         break;
       case FaultKind::kStall:
@@ -276,8 +267,11 @@ FaultAction FaultPlan::apply(SimTime now, Address from, Address to) {
         break;  // never a plan rule; injected by Network::devour
     }
     if (act.drop) {
-      ++injected_[static_cast<std::size_t>(act.drop_kind)];
-      return act;  // first dropping rule wins; later rules draw nothing
+      // First dropping rule wins. Duplicates, spikes and reorders that
+      // earlier rules drew never leave with a dropped packet, so only the
+      // dropping kind is reported.
+      act.injected = fault_bit(r.kind);
+      return act;
     }
   }
   return act;
@@ -298,12 +292,6 @@ SimTime FaultPlan::stall_release(SimTime now, Address a) const {
     }
   }
   return release;
-}
-
-std::uint64_t FaultPlan::total_injected() const {
-  std::uint64_t t = 0;
-  for (const auto v : injected_) t += v;
-  return t;
 }
 
 std::string FaultPlan::describe() const {

@@ -1,12 +1,10 @@
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <string>
 #include <unordered_set>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "common/sim_time.hpp"
 
 namespace mspastry::net {
@@ -36,6 +34,21 @@ enum class FaultKind : std::uint8_t {
 inline constexpr std::size_t kFaultKindCount = 8;
 
 const char* fault_kind_name(FaultKind k);
+
+/// A set of fault kinds, one bit per FaultKind.
+using FaultKindSet = std::uint16_t;
+
+constexpr FaultKindSet fault_bit(FaultKind k) {
+  return static_cast<FaultKindSet>(1u << static_cast<unsigned>(k));
+}
+
+/// Call `f(kind)` once for every kind in `s`, in enum order.
+template <class F>
+void for_each_fault_kind(FaultKindSet s, F&& f) {
+  for (std::size_t k = 0; s != 0; ++k, s >>= 1) {
+    if ((s & 1u) != 0) f(static_cast<FaultKind>(k));
+  }
+}
 
 /// Selects the (from, to) pairs a rule applies to. A closed set of forms
 /// (rather than an arbitrary predicate) keeps schedules printable and
@@ -68,9 +81,8 @@ class LinkMatcher {
 };
 
 /// One timed fault rule: a kind, a link selector, an activity window
-/// [start, end), the kind-specific parameters, and a seed for the rule's
-/// private RNG stream (0 = derive from the plan seed and rule id, so
-/// adding draws in one rule never perturbs another).
+/// [start, end), the kind-specific parameters, and the key of the rule's
+/// draws (0 = derive it from the plan seed and the rule id).
 struct FaultRule {
   FaultKind kind = FaultKind::kLoss;
   LinkMatcher where;
@@ -107,39 +119,42 @@ struct FaultRule {
 
 /// What the plan decided for one packet.
 struct FaultAction {
-  bool drop = false;
-  FaultKind drop_kind = FaultKind::kLoss;
+  bool drop = false;            ///< its kind is in `injected`
   SimDuration extra_delay = 0;  ///< delay spikes + reorder jitter, summed
   int extra_copies = 0;         ///< injected duplicates
   SimDuration dup_offset = 0;   ///< spacing between the injected copies
+  FaultKindSet injected = 0;    ///< every kind that acted on the packet
+                                ///< (on a drop, the dropping kind only)
 };
 
-/// A composable stack of timed fault rules, consulted by the network for
-/// every packet. Rules are evaluated in insertion order; the first rule
-/// that drops a packet wins. All time dependence is phase-based (a rule is
-/// a pure function of the clock and its private RNG stream), so schedules
-/// are deterministic and rules can be added or removed at any time without
-/// rescheduling anything.
+/// A composable stack of timed fault rules, consulted for every packet
+/// (net/packet_fate.hpp). Rules are evaluated in insertion order; the
+/// first rule that drops a packet wins. Every decision is a pure function
+/// of the packet's identity: flaps and delay spikes depend only on the
+/// clock, and loss, duplication and reordering draw a stateless hash of
+/// (rule seed, sender, per-sender send seq). A packet's fate therefore
+/// never depends on the order in which other packets were judged — the
+/// property that makes every rule shard-count-invariant on the keyed
+/// engine — and rules can be added or removed at any time without
+/// rescheduling anything. The plan keeps no counters; callers count the
+/// kinds each decision reports in FaultAction::injected.
 class FaultPlan {
  public:
   using RuleId = std::uint64_t;
   static constexpr RuleId kNoRule = 0;
 
-  explicit FaultPlan(std::uint64_t seed = 0x7a0517) : base_seed_(seed) {}
-
-  /// Reseed the derivation base for subsequently added rules (rules
-  /// already installed keep their streams).
-  void reseed(std::uint64_t seed) { base_seed_ = seed; }
+  explicit FaultPlan(std::uint64_t seed = 0x7a0517) : seed_(seed) {}
 
   RuleId add(FaultRule rule);
   bool remove(RuleId id);
-  void clear() { rules_.clear(); }
 
+  bool empty() const { return rules_.empty(); }
   std::size_t rule_count() const { return rules_.size(); }
-  std::size_t active_rule_count(SimTime now) const;
 
-  /// Consult the stack for one packet; updates injection counters.
-  FaultAction apply(SimTime now, Address from, Address to);
+  /// Judge one packet: `seq` is the sender's per-packet send sequence
+  /// number, which keys the randomized rules' draws.
+  FaultAction apply(SimTime now, Address from, Address to,
+                    std::uint64_t seq) const;
 
   /// Gray failure: is endpoint `a` frozen at `now`?
   bool stalled(SimTime now, Address a) const {
@@ -150,22 +165,6 @@ class FaultPlan {
   /// it is not stalled; handles overlapping stall windows).
   SimTime stall_release(SimTime now, Address a) const;
 
-  /// The network reports each packet it defers because of a stall.
-  void note_stall_deferred() {
-    ++injected_[static_cast<std::size_t>(FaultKind::kStall)];
-  }
-
-  /// The network reports each packet devoured by an adversarial sender
-  /// (Network::devour), so per-kind injection counters stay uniform.
-  void note_adversarial_drop() {
-    ++injected_[static_cast<std::size_t>(FaultKind::kAdversarialDrop)];
-  }
-
-  std::uint64_t injected(FaultKind k) const {
-    return injected_[static_cast<std::size_t>(k)];
-  }
-  std::uint64_t total_injected() const;
-
   /// Deterministic textual dump of every installed rule, for reproducible
   /// run logs ("the fault schedule").
   std::string describe() const;
@@ -174,13 +173,12 @@ class FaultPlan {
   struct Slot {
     RuleId id;
     FaultRule rule;
-    Rng rng;
+    std::uint64_t seed;  ///< keys the rule's draws
   };
 
-  std::uint64_t base_seed_;
+  std::uint64_t seed_;
   RuleId next_id_ = 1;
   std::vector<Slot> rules_;
-  std::array<std::uint64_t, kFaultKindCount> injected_{};
 };
 
 }  // namespace mspastry::net

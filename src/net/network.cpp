@@ -1,7 +1,6 @@
 #include "net/network.hpp"
 
 #include <cassert>
-#include <unordered_set>
 
 namespace mspastry::net {
 
@@ -10,7 +9,7 @@ Network::Network(Simulator& sim, std::shared_ptr<const Topology> topology,
     : sim_(sim),
       topology_(std::move(topology)),
       config_(config),
-      rng_(seed),
+      seed_(seed),
       faults_(seed ^ 0xfa017c0deull) {
   assert(topology_ != nullptr);
   for (int r = 0; r < topology_->router_count(); ++r) {
@@ -69,56 +68,30 @@ void Network::heal() {
 void Network::send(Address from, Address to, PacketPtr packet) {
   assert(packet != nullptr);
   ++sent_;
-  if (filter_ && !filter_(from, to)) {
-    ++lost_;
-    notify_drop(from, to, packet, DropKind::kFilter);
-    return;
-  }
   const SimTime now = sim_.now();
-  // A stalled sender's packets leave the machine only when it resumes
-  // (the process is frozen; the timers that produced them fire late).
-  const SimTime depart = faults_.stall_release(now, from);
-  if (depart > now) {
-    faults_.note_stall_deferred();
-    notify_injection(FaultKind::kStall);
-  }
-  FaultAction act = faults_.apply(now, from, to);
-  if (act.drop) {
+  const PacketFate fate =
+      packet_fate(faults_, config_, seed_, now, from, to,
+                  endpoints_[from].send_seq++, delay(from, to));
+  notify_injections(fate.injected);
+  if (fate.drop) {
     ++lost_;
-    notify_injection(act.drop_kind);
-    notify_drop(from, to, packet, DropKind::kFault);
+    notify_drop(from, to, packet, fate.drop_kind);
     return;
   }
-  if (act.extra_delay > 0) notify_injection(FaultKind::kDelaySpike);
-  if (rng_.chance(config_.loss_rate)) {
-    ++lost_;
-    notify_drop(from, to, packet, DropKind::kLoss);
-    return;
-  }
-  SimDuration d = delay(from, to);
-  if (config_.jitter_fraction > 0.0) {
-    const double f = rng_.uniform(1.0 - config_.jitter_fraction,
-                                  1.0 + config_.jitter_fraction);
-    d = static_cast<SimDuration>(static_cast<double>(d) * f);
-  }
-  d += act.extra_delay;
-  if (d < 1) d = 1;  // even loopback takes one microsecond
-  if (act.extra_copies == 0) {
+  const SimDuration after = (fate.depart - now) + fate.delay;
+  if (fate.copies == 0) {
     // Common case: the caller's reference rides the wire; no refcount
     // traffic at all between send() and the delivery callback.
-    schedule_delivery((depart - now) + d, from, to, std::move(packet));
+    schedule_delivery(after, from, to, std::move(packet));
     return;
   }
-  schedule_delivery((depart - now) + d, from, to, packet);
-  for (int i = 0; i < act.extra_copies; ++i) {
+  schedule_delivery(after, from, to, packet);
+  for (int i = 0; i < fate.copies; ++i) {
     // An injected copy occupies the wire like a real transmission, which
     // keeps the packet-accounting identity exact. All copies alias one
     // packet object; the refcount keeps it alive until the last delivery.
     ++sent_;
-    notify_injection(FaultKind::kDuplicate);
-    schedule_delivery(
-        (depart - now) + d + (i + 1) * std::max<SimDuration>(1, act.dup_offset),
-        from, to, packet);
+    schedule_delivery(after + (i + 1) * fate.dup_offset, from, to, packet);
   }
 }
 
@@ -127,8 +100,7 @@ void Network::devour(Address from, Address to, PacketPtr packet) {
   // The pretend transmission occupies the identity like a real one.
   ++sent_;
   ++dropped_adversarial_;
-  faults_.note_adversarial_drop();
-  notify_injection(FaultKind::kAdversarialDrop);
+  notify_injections(fault_bit(FaultKind::kAdversarialDrop));
   notify_drop(from, to, packet, DropKind::kAdversary);
 }
 
@@ -149,8 +121,7 @@ void Network::deliver(Address from, Address to, PacketPtr packet) {
   // increment/decrement pair for every buffered packet.
   const SimTime release = faults_.stall_release(sim_.now(), to);
   if (release > sim_.now()) {
-    faults_.note_stall_deferred();
-    notify_injection(FaultKind::kStall);
+    notify_injections(fault_bit(FaultKind::kStall));
     sim_.schedule_at(release,
                      [this, from, to, p = std::move(packet)]() mutable {
                        deliver(from, to, std::move(p));

@@ -10,6 +10,7 @@
 #include "common/rng.hpp"
 #include "common/sim_time.hpp"
 #include "net/fault_plan.hpp"
+#include "net/packet_fate.hpp"
 #include "net/topology.hpp"
 #include "sim/simulator.hpp"
 
@@ -30,27 +31,12 @@ using PacketPtr = IntrusivePtr<const Packet>;
 using Address = std::int32_t;
 inline constexpr Address kNullAddress = -1;
 
-struct NetworkConfig {
-  /// Uniform probability that any packet is silently dropped in transit
-  /// (the paper's "network message loss rate", varied 0–5% in Figure 6).
-  double loss_rate = 0.0;
-
-  /// Access-link delay added at each end (the paper attaches end nodes to
-  /// GATech/CorpNet routers through a 1 ms LAN link; Mercator attaches
-  /// directly, i.e. 0).
-  SimDuration lan_delay = milliseconds(1);
-
-  /// Multiplicative uniform jitter applied per packet: the delivery delay
-  /// is scaled by a factor drawn from [1-j, 1+j]. Zero by default (the
-  /// paper's simulator does not model congestion); used by the Fig-8
-  /// "deployment-like" perturbed runs.
-  double jitter_fraction = 0.0;
-};
-
 /// The packet-level network model: computes delays from a Topology,
-/// applies uniform loss, and delivers packets to bound handlers through
-/// the discrete-event simulator. It does not model congestion (neither
-/// does the paper's simulator).
+/// judges every packet with packet_fate() (fault rules, uniform loss,
+/// jitter; draws keyed by the sender's per-endpoint send seq), and
+/// delivers packets to bound handlers through the discrete-event
+/// simulator. It does not model congestion (neither does the paper's
+/// simulator).
 class Network {
  public:
   /// Called on packet delivery: (source address, packet).
@@ -92,14 +78,6 @@ class Network {
   /// (DropKind::kAdversary), but delivery is never scheduled.
   void devour(Address from, Address to, PacketPtr packet);
 
-  /// Install a reachability filter for fault injection: packets where
-  /// `allow(from, to)` is false are silently dropped (both directions must
-  /// be filtered by the caller if symmetry is wanted). Pass nullptr to
-  /// clear. Arbitrary predicates belong here; describable, timed faults
-  /// belong on the fault plan below.
-  using LinkFilter = std::function<bool(Address, Address)>;
-  void set_link_filter(LinkFilter allow) { filter_ = std::move(allow); }
-
   /// The composable fault-rule stack consulted for every packet. Scenario
   /// harnesses install timed rules (partitions, flaps, delay spikes,
   /// duplication, reordering, stalls) directly on it.
@@ -108,26 +86,19 @@ class Network {
 
   /// Convenience wrapper over the fault plan: bidirectionally partition
   /// the endpoints in `group` from everyone else. Installs one partition
-  /// rule; any caller-installed link filter and any other fault rules are
-  /// left untouched. Heal with heal(), which removes only this rule.
+  /// rule; any other fault rules are left untouched. Heal with heal(),
+  /// which removes only this rule.
   void partition(const std::vector<Address>& group);
   void heal();
 
-  /// Observer invoked once per injected fault event (drop, delay, copy,
-  /// stall deferral); the overlay driver wires this to its metrics.
+  /// Observer invoked once per fault kind that acted on a packet (a
+  /// send reports each kind in PacketFate::injected; a stalled delivery
+  /// and a devoured packet report theirs); the overlay driver wires this
+  /// to its metrics, the harness's one injection count.
   using InjectionObserver = std::function<void(FaultKind)>;
   void set_injection_observer(InjectionObserver o) {
     injection_observer_ = std::move(o);
   }
-
-  /// Why the network dropped a packet (for the drop observer below).
-  enum class DropKind : std::uint8_t {
-    kFilter,   ///< caller-installed link filter said no
-    kFault,    ///< a fault-plan rule (partition, flap, ...) dropped it
-    kLoss,      ///< uniform random loss
-    kUnbound,   ///< arrived at a dead endpoint
-    kAdversary, ///< devoured by an adversarial sender (Network::devour)
-  };
 
   /// Observer invoked for every packet the network loses, with the ground
   /// truth of where and why. The observability layer wires this to the
@@ -158,6 +129,7 @@ class Network {
   struct Endpoint {
     int router = -1;
     Handler handler;  // empty == unbound
+    std::uint64_t send_seq = 0;  ///< keys this endpoint's packet fates
   };
 
   void schedule_delivery(SimDuration after, Address from, Address to,
@@ -165,8 +137,8 @@ class Network {
   /// Takes its reference by value and moves it onward (a stalled receiver
   /// re-schedules the same reference instead of copying it per retry).
   void deliver(Address from, Address to, PacketPtr packet);
-  void notify_injection(FaultKind k) {
-    if (injection_observer_) injection_observer_(k);
+  void notify_injections(FaultKindSet kinds) {
+    if (injection_observer_) for_each_fault_kind(kinds, injection_observer_);
   }
   void notify_drop(Address from, Address to, const PacketPtr& p, DropKind k) {
     if (drop_observer_) drop_observer_(from, to, p, k);
@@ -175,10 +147,9 @@ class Network {
   Simulator& sim_;
   std::shared_ptr<const Topology> topology_;
   NetworkConfig config_;
-  Rng rng_;
+  std::uint64_t seed_;
   std::vector<Endpoint> endpoints_;
   std::vector<int> attachable_routers_;
-  LinkFilter filter_;
   FaultPlan faults_;
   FaultPlan::RuleId partition_rule_ = FaultPlan::kNoRule;
   InjectionObserver injection_observer_;

@@ -487,7 +487,8 @@ ChaosResult ChaosHarness::run(const std::string& scenario) {
 
   // --- Collect and judge --------------------------------------------------
   for (std::size_t k = 0; k < net::kFaultKindCount; ++k) {
-    res.injected[k] = net.faults().injected(static_cast<net::FaultKind>(k));
+    res.injected[k] =
+        driver_->metrics().fault_injections(static_cast<net::FaultKind>(k));
   }
   for (const auto& [id, p] : probes_) {
     (void)id;

@@ -79,7 +79,8 @@ struct ChaosResult {
   std::string scenario;
   std::uint64_t seed = 0;
 
-  /// Injection counters by fault kind, from the network's fault plan.
+  /// Injection counts by fault kind (the driver's Metrics: one per kind
+  /// that acted on a packet, plus stalled deliveries and devoured packets).
   std::array<std::uint64_t, net::kFaultKindCount> injected{};
 
   // Probe lookups issued while faults were active.

@@ -118,10 +118,10 @@ OverlayDriver::OverlayDriver(std::shared_ptr<const net::Topology> topology,
     // explain why a hop's kRecv never happened.
     net_.set_drop_observer([this](net::Address from, net::Address to,
                                   const net::PacketPtr& p,
-                                  net::Network::DropKind kind) {
+                                  net::DropKind kind) {
       const auto rm = dynamic_pointer_cast<const pastry::RoutedMessage>(p);
       if (rm != nullptr && rm->trace_id != 0) {
-        const auto ev = kind == net::Network::DropKind::kAdversary
+        const auto ev = kind == net::DropKind::kAdversary
                             ? obs::EventKind::kAdversaryDrop
                             : obs::EventKind::kNetDrop;
         obs_->recorder_for(from).record(sim_.now(), ev, rm->trace_id, to,

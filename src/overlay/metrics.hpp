@@ -166,11 +166,6 @@ class Metrics {
   std::uint64_t fault_injections(net::FaultKind k) const {
     return fault_injections_[static_cast<std::size_t>(k)];
   }
-  std::uint64_t total_fault_injections() const {
-    std::uint64_t t = 0;
-    for (const auto v : fault_injections_) t += v;
-    return t;
-  }
 
   // --- Windowed series (for the time plots) --------------------------------
 

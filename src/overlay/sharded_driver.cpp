@@ -10,15 +10,6 @@ namespace mspastry::overlay {
 
 namespace {
 
-/// All network randomness in the sharded driver is *stateless* — a
-/// mix3(seed, sender, per-sender packet seq) hash (common/hash_mix.hpp) —
-/// so a packet's fate never depends on how draws from other nodes
-/// interleave with it, which is the property that makes the run
-/// independent of the shard count.
-double to_unit(std::uint64_t h) { return hash_to_unit(h); }
-
-constexpr std::uint64_t kLossSalt = 0x6c6f7373ull;      // "loss"
-constexpr std::uint64_t kJitterSalt = 0x6a697474ull;    // "jitt"
 constexpr std::uint64_t kDitherSalt = 0x64697468ull;    // "dith"
 constexpr std::uint64_t kNodeSalt = 0x6e6f6465ull;      // "node"
 constexpr std::uint64_t kAdvSelectSalt = 0x73656c65ull; // "sele"
@@ -110,10 +101,9 @@ class ShardedDriver::ShardEnv final : public pastry::Env {
   std::uint32_t uid() const { return uid_; }
   std::size_t shard() const { return shard_; }
 
-  /// The per-sender packet sequence feeding the stateless loss / jitter /
-  /// dither draws; app packets and overlay messages share one stream so
-  /// their fates are keyed exactly like the serial Network's single
-  /// stream of sends.
+  /// The per-sender packet sequence keying the packet-fate draws (loss,
+  /// jitter, fault rules) and the dither; app packets and overlay
+  /// messages share one stream, like an endpoint's sends in net::Network.
   std::uint64_t next_send_seq() { return send_seq_++; }
 
   SimTime now() const override { return d_.engine_.shard(shard_).now(); }
@@ -248,6 +238,7 @@ ShardedDriver::ShardedDriver(std::shared_ptr<const net::Topology> topology,
       net_cfg_(net_config),
       cfg_(config),
       net_seed_(config.seed ^ 0x9e3779b9ull),
+      faults_(net_seed_ ^ 0xfa017c0deull),
       lookahead_(compute_lookahead(*topology_, net_config)),
       engine_(shards, lookahead_),
       metrics_(config.metrics_window, config.warmup) {
@@ -258,7 +249,6 @@ ShardedDriver::ShardedDriver(std::shared_ptr<const net::Topology> topology,
     sh->arena = std::make_unique<pastry::NodeArena>(1 << cfg_.pastry.b);
     sh->traffic =
         std::make_unique<Metrics>(cfg_.metrics_window, cfg_.warmup);
-    sh->faults.reseed(mix3(net_seed_, 0xfa017c0deull, i));
     if (cfg_.obs.enabled) {
       sh->obs = std::make_unique<obs::TraceDomain>(cfg_.obs);
     }
@@ -286,7 +276,7 @@ void ShardedDriver::add_fault_rule(const net::FaultRule& rule) {
   if (ran_) {
     throw ConfigError("add_fault_rule: install fault rules before run_trace");
   }
-  for (auto& sh : shards_) sh->faults.add(rule);
+  faults_.add(rule);
 }
 
 void ShardedDriver::set_adversary(const ShardedAdversaryConfig& adv) {
@@ -341,64 +331,33 @@ void ShardedDriver::shard_send(std::size_t src_shard, net::Address from,
   }
   ++sh.sent;
 
-  // A stalled sender's packets leave the machine only when it resumes
-  // (net/network.cpp has the serial twin). stall_release is *pure* — no
-  // RNG, just rule arithmetic — so the shard-local plan replica returns
-  // the same verdict at every shard count.
-  SimDuration stall = 0;
-  const SimTime depart = sh.faults.stall_release(now, from);
-  if (depart > now) {
-    sh.faults.note_stall_deferred();
-    sh.traffic->on_fault_injected(net::FaultKind::kStall);
-    stall = depart - now;
-  }
-
-  net::FaultAction act = sh.faults.apply(now, from, to);
-  if (act.drop) {
-    ++sh.lost;
-    sh.traffic->on_fault_injected(act.drop_kind);
-    note_send_drop(sh, now, from, to, *msg);
-    return;
-  }
-  if (act.extra_delay > 0) {
-    sh.traffic->on_fault_injected(net::FaultKind::kDelaySpike);
-  }
-  if (net_cfg_.loss_rate > 0.0 &&
-      to_unit(mix3(net_seed_ ^ kLossSalt,
-                   static_cast<std::uint64_t>(static_cast<std::uint32_t>(from)),
-                   send_seq)) < net_cfg_.loss_rate) {
+  // The fate is judged by the same function as net::Network::send, from
+  // the one plan every shard reads; its draws are keyed by the packet's
+  // identity, so the verdict is the same at every shard count.
+  const net::PacketFate fate =
+      net::packet_fate(faults_, net_cfg_, net_seed_, now, from, to, send_seq,
+                       delay_between(from, to));
+  net::for_each_fault_kind(fate.injected, [&sh](net::FaultKind k) {
+    sh.traffic->on_fault_injected(k);
+  });
+  if (fate.drop) {
     ++sh.lost;
     note_send_drop(sh, now, from, to, *msg);
     return;
   }
-
-  SimDuration d = delay_between(from, to);
-  if (net_cfg_.jitter_fraction > 0.0) {
-    const double u = to_unit(mix3(
-        net_seed_ ^ kJitterSalt,
-        static_cast<std::uint64_t>(static_cast<std::uint32_t>(from)),
-        send_seq));
-    const double f = 1.0 - net_cfg_.jitter_fraction +
-                     2.0 * net_cfg_.jitter_fraction * u;
-    d = static_cast<SimDuration>(static_cast<double>(d) * f);
-  }
-  d += act.extra_delay;
-  if (d < 1) d = 1;
-  d += static_cast<SimDuration>(
-      mix3(net_seed_ ^ kDitherSalt,
-           static_cast<std::uint64_t>(static_cast<std::uint32_t>(from)),
-           send_seq) &
-      kDitherMask);
-
-  schedule_delivery(src_shard, now + stall + d, from, to, msg, send_seq);
-  for (int i = 0; i < act.extra_copies; ++i) {
+  const SimTime at =
+      fate.depart + fate.delay +
+      static_cast<SimDuration>(
+          mix3(net_seed_ ^ kDitherSalt,
+               static_cast<std::uint64_t>(static_cast<std::uint32_t>(from)),
+               send_seq) &
+          kDitherMask);
+  for (int i = 1; i <= fate.copies; ++i) {
     ++sh.sent;
-    sh.traffic->on_fault_injected(net::FaultKind::kDuplicate);
-    const SimDuration off =
-        (i + 1) * std::max<SimDuration>(1, act.dup_offset);
-    schedule_delivery(src_shard, now + stall + d + off, from, to, msg,
+    schedule_delivery(src_shard, at + i * fate.dup_offset, from, to, msg,
                       send_seq);
   }
+  schedule_delivery(src_shard, at, from, to, std::move(msg), send_seq);
 }
 
 void ShardedDriver::shard_devour(ShardEnv& env, net::Address to,
@@ -411,7 +370,6 @@ void ShardedDriver::shard_devour(ShardEnv& env, net::Address to,
   // blamed on the adversary in S-invariant order.
   ++sh.sent;
   ++sh.dropped_adversarial;
-  sh.faults.note_adversarial_drop();
   sh.traffic->on_fault_injected(net::FaultKind::kAdversarialDrop);
   if (sh.obs != nullptr) {
     const auto* rm = dynamic_cast<const pastry::RoutedMessage*>(msg.get());
@@ -468,9 +426,8 @@ void ShardedDriver::deliver(std::size_t dst_shard, net::Address from,
   // expiry timer lives on the *receiving* session's shard, so cross-shard
   // timing never observes a partial stall; the verdict itself is pure.
   const SimTime dnow = engine_.shard(dst_shard).now();
-  const SimTime release = sh.faults.stall_release(dnow, to);
+  const SimTime release = faults_.stall_release(dnow, to);
   if (release > dnow) {
-    sh.faults.note_stall_deferred();
     sh.traffic->on_fault_injected(net::FaultKind::kStall);
     engine_.shard(dst_shard).schedule_at(
         release, [this, dst_shard, from, to, send_seq,

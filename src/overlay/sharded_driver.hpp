@@ -80,10 +80,11 @@ class ShardedApp;
 ///  - the lookup workload is a *per-node* Poisson process driven by the
 ///    node's own stream (equivalent in distribution to the single-driver
 ///    aggregate process, but free of cross-node draw interleaving);
-///  - network loss/jitter draws are stateless hashes keyed by
-///    (net seed, sender, per-sender packet seq), plus a small hash-derived
-///    delivery-time dither that makes cross-shard/local (time, receiver)
-///    ties vanishingly rare;
+///  - every packet's fate comes from net::packet_fate — the function
+///    net::Network uses — whose loss, jitter and fault-rule draws are
+///    stateless hashes keyed by (seed, sender, per-sender packet seq),
+///    plus a small hash-derived delivery-time dither that makes
+///    cross-shard/local (time, receiver) ties vanishingly rare;
 ///  - all global bookkeeping (oracle, lookup scoring, join/population
 ///    metrics, false positives) is a *deferred ledger*: shards append
 ///    (time, session-ordered) log events during an epoch and the driver
@@ -94,8 +95,8 @@ class ShardedApp;
 ///    a bootstrap candidate, which root the oracle scores a delivery
 ///    against — is itself shard-count-invariant.
 ///
-/// Adversary policies, application data and gray-failure stall rules run
-/// here with S-invariant formulations of their serial semantics:
+/// Adversary policies, application data and fault rules run here with
+/// S-invariant formulations of their serial semantics:
 ///  - adversary corruption (set_adversary) uses KeyedAdversary — every
 ///    decision a stateless hash of (adversary seed, node addr, intercept
 ///    seq) — with selection, sybil placement and arming pre-assigned from
@@ -105,14 +106,10 @@ class ShardedApp;
 ///    same keyed send path as overlay messages, cross shards via
 ///    CloneableAppData::clone_into, and report latency samples through
 ///    kAppSample ledger events applied in (time, uid, seq) order;
-///  - gray-stall rules evaluate against the shard-local plan replica —
-///    stall_release is pure (no RNG), so identical replicas give every
-///    shard the same verdict — with deferred deliveries re-scheduled on
-///    the *receiving* session's shard.
-/// Probabilistic fault-plan rules (loss, flaps, delay spikes,
-/// duplication, reordering) remain per-shard RNG streams: deterministic
-/// for a fixed shard count but not byte-identical across shard counts,
-/// so cross-count determinism gates use stall-only or fault-free plans.
+///  - fault rules (add_fault_rule) live in one immutable plan that every
+///    shard reads: loss, duplication and reordering draw keyed hashes,
+///    flaps and delay spikes are pure functions of time, and gray-stall
+///    deliveries are re-scheduled on the *receiving* session's shard.
 class ShardedDriver {
  public:
   ShardedDriver(std::shared_ptr<const net::Topology> topology,
@@ -123,9 +120,9 @@ class ShardedDriver {
   ShardedDriver(const ShardedDriver&) = delete;
   ShardedDriver& operator=(const ShardedDriver&) = delete;
 
-  /// Install one fault rule on every shard's plan replica (call before
-  /// run_trace; ConfigError afterwards). Stall rules are supported: their
-  /// evaluation is pure, so the replicas agree at every shard count.
+  /// Install one fault rule on the plan every shard reads (call before
+  /// run_trace; ConfigError afterwards). Every rule kind is
+  /// shard-count-invariant.
   void add_fault_rule(const net::FaultRule& rule);
 
   /// Install an adversary scenario (call before run_trace; ConfigError
@@ -300,7 +297,6 @@ class ShardedDriver {
     std::unique_ptr<pastry::NodeArena> arena;
     pastry::Counters counters;
     std::unique_ptr<Metrics> traffic;  ///< on_message + fault injections only
-    net::FaultPlan faults;             ///< per-shard rule replica
     std::unique_ptr<obs::TraceDomain> obs;  ///< per-shard rings (if enabled)
     std::vector<LogEvent> log;
     std::vector<std::vector<OutMsg>> outbox;  ///< one row per dest shard
@@ -353,6 +349,9 @@ class ShardedDriver {
   net::NetworkConfig net_cfg_;
   DriverConfig cfg_;
   std::uint64_t net_seed_;
+  /// The one fault plan, read by every shard (immutable once run_trace
+  /// starts).
+  net::FaultPlan faults_;
   SimDuration lookahead_ = 0;
 
   /// Shards declared before the engine: the engine's simulators (whose

@@ -382,6 +382,9 @@ class PastryNode {
   std::uint64_t last_membership_hash_ = 0;
   int repair_stalls_ = 0;
   bool small_ring_converged_ = false;
+  /// Every leaf-set member a joiner's repair rounds have seen (cleared on
+  /// activation): a round that shows no new one made no progress.
+  std::vector<net::Address> join_leaf_seen_;
 
   /// Periodic timers.
   TimerId heartbeat_timer_ = kInvalidTimer;

@@ -258,10 +258,26 @@ std::uint64_t PastryNode::leaf_membership_hash() const {
 
 void PastryNode::repair_leaf_set() {
   const std::uint64_t hash = leaf_membership_hash();
-  if (hash == last_membership_hash_) {
+  bool progressed = hash != last_membership_hash_;
+  last_membership_hash_ = hash;
+  if (!active_) {
+    // A joiner progresses only by meeting members it has not seen. Under
+    // loss, failure hearsay removes live members and their confirming
+    // probes re-admit them; counting that churn as change can hold a
+    // joiner in a small ring inactive for minutes while lookups queue at
+    // it.
+    progressed = false;
+    for (const NodeDescriptor& m : leaf_.members()) {
+      if (std::find(join_leaf_seen_.begin(), join_leaf_seen_.end(),
+                    m.addr) == join_leaf_seen_.end()) {
+        join_leaf_seen_.push_back(m.addr);
+        progressed = true;
+      }
+    }
+  }
+  if (!progressed) {
     ++repair_stalls_;
   } else {
-    last_membership_hash_ = hash;
     repair_stalls_ = 0;
     small_ring_converged_ = false;
   }
@@ -335,6 +351,7 @@ void PastryNode::activate() {
   assert(!active_);
   active_ = true;
   joining_ = false;
+  join_leaf_seen_ = {};
   trace_node(obs::EventKind::kActivated, net::kNullAddress, join_epoch_);
   failed_.clear();
   cancel_timer(join_retry_timer_);

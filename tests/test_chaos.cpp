@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <tuple>
+#include <vector>
 
 #include "net/network.hpp"
 #include "net/transit_stub.hpp"
@@ -16,6 +18,7 @@ namespace {
 
 using net::Address;
 using net::FaultKind;
+using net::FaultKindSet;
 using net::FaultPlan;
 using net::FaultRule;
 using net::LinkMatcher;
@@ -57,20 +60,26 @@ TEST(FaultPlan, RuleWindowsGateActivity) {
   FaultPlan plan(1);
   plan.add(FaultRule::partition(LinkMatcher::all(), seconds(10),
                                 seconds(20)));
-  EXPECT_FALSE(plan.apply(seconds(9), 0, 1).drop);
-  EXPECT_TRUE(plan.apply(seconds(10), 0, 1).drop);
-  EXPECT_TRUE(plan.apply(seconds(19), 0, 1).drop);
-  EXPECT_FALSE(plan.apply(seconds(20), 0, 1).drop);  // end is exclusive
-  EXPECT_EQ(plan.injected(FaultKind::kPartition), 2u);
+  int cuts = 0;
+  const auto drops = [&](SimTime t) {
+    const auto act = plan.apply(t, 0, 1, 0);
+    if ((act.injected & net::fault_bit(FaultKind::kPartition)) != 0) ++cuts;
+    return act.drop;
+  };
+  EXPECT_FALSE(drops(seconds(9)));
+  EXPECT_TRUE(drops(seconds(10)));
+  EXPECT_TRUE(drops(seconds(19)));
+  EXPECT_FALSE(drops(seconds(20)));  // end is exclusive
+  EXPECT_EQ(cuts, 2);
 }
 
 TEST(FaultPlan, RemoveDeletesOnlyThatRule) {
   FaultPlan plan(1);
   const auto cut = plan.add(FaultRule::partition(LinkMatcher::cross({0})));
   plan.add(FaultRule::delay_spike(LinkMatcher::all(), milliseconds(100)));
-  EXPECT_TRUE(plan.apply(0, 0, 1).drop);
+  EXPECT_TRUE(plan.apply(0, 0, 1, 0).drop);
   EXPECT_TRUE(plan.remove(cut));
-  const auto act = plan.apply(0, 0, 1);
+  const auto act = plan.apply(0, 0, 1, 1);
   EXPECT_FALSE(act.drop);
   EXPECT_EQ(act.extra_delay, milliseconds(100));
   EXPECT_FALSE(plan.remove(cut));  // already gone
@@ -79,10 +88,10 @@ TEST(FaultPlan, RemoveDeletesOnlyThatRule) {
 TEST(FaultPlan, FlapAlternatesWithPhase) {
   FaultPlan plan(1);
   plan.add(FaultRule::flap(LinkMatcher::all(), seconds(10), 0.5, 0));
-  EXPECT_FALSE(plan.apply(seconds(1), 0, 1).drop);   // up phase
-  EXPECT_TRUE(plan.apply(seconds(6), 0, 1).drop);    // down phase
-  EXPECT_FALSE(plan.apply(seconds(11), 0, 1).drop);  // next period, up again
-  EXPECT_TRUE(plan.apply(seconds(16), 0, 1).drop);
+  EXPECT_FALSE(plan.apply(seconds(1), 0, 1, 0).drop);   // up phase
+  EXPECT_TRUE(plan.apply(seconds(6), 0, 1, 1).drop);    // down phase
+  EXPECT_FALSE(plan.apply(seconds(11), 0, 1, 2).drop);  // next period, up
+  EXPECT_TRUE(plan.apply(seconds(16), 0, 1, 3).drop);
 }
 
 TEST(FaultPlan, StallReleaseCoversOverlappingWindows) {
@@ -108,12 +117,12 @@ TEST(FaultPlan, SchedulesAreByteForByteReproducible) {
   };
   EXPECT_EQ(build(42), build(42));
   EXPECT_EQ(build(42), build(43));  // derivation base not printed; rules
-                                    // with seed=0 derive streams lazily
+                                    // with seed=0 derive their draw keys
 }
 
 TEST(FaultPlan, PerRuleStreamsAreIndependent) {
-  // Consuming draws through one probabilistic rule must not perturb the
-  // decisions another rule makes: each rule owns a private stream.
+  // Judging packets through one probabilistic rule must not perturb the
+  // decisions another rule makes: each rule keys its own draws.
   auto decisions = [](bool burn) {
     FaultPlan plan(7);
     auto a = FaultRule::loss(LinkMatcher::endpoint({1}), 0.5);
@@ -123,13 +132,62 @@ TEST(FaultPlan, PerRuleStreamsAreIndependent) {
     b.seed = 222;
     plan.add(b);
     if (burn) {
-      for (int i = 0; i < 100; ++i) plan.apply(0, 1, 9);  // draws in rule a
+      for (std::uint64_t i = 0; i < 100; ++i) plan.apply(0, 1, 9, i);
     }
     std::vector<bool> out;
-    for (int i = 0; i < 64; ++i) out.push_back(plan.apply(0, 2, 9).drop);
+    for (std::uint64_t i = 0; i < 64; ++i) {
+      out.push_back(plan.apply(0, 2, 9, i).drop);
+    }
     return out;
   };
   EXPECT_EQ(decisions(false), decisions(true));
+}
+
+TEST(FaultPlan, ApplyDependsOnlyOnThePacket) {
+  // Every randomized rule draws a hash of (rule seed, sender, send seq):
+  // a packet's verdict is the same whatever order packets are judged in,
+  // which is what makes a plan shard-count-invariant.
+  FaultPlan plan(5);
+  plan.add(FaultRule::loss(LinkMatcher::endpoint({1}), 0.3));
+  plan.add(FaultRule::duplicate(LinkMatcher::all(), 0.4, milliseconds(2)));
+  plan.add(FaultRule::reorder(LinkMatcher::all(), 0.5, milliseconds(30)));
+  plan.add(FaultRule::flap(LinkMatcher::endpoint({3}), seconds(10), 0.5));
+  plan.add(FaultRule::delay_spike(LinkMatcher::endpoint({2}),
+                                  milliseconds(50), seconds(5), seconds(25)));
+  struct Packet {
+    SimTime now;
+    Address from, to;
+    std::uint64_t seq;
+  };
+  std::vector<Packet> packets;
+  for (std::uint64_t i = 0; i < 400; ++i) {
+    packets.push_back({seconds(static_cast<std::int64_t>(i % 30)),
+                       static_cast<Address>(i % 4),
+                       static_cast<Address>(4 + i % 3), i / 4});
+  }
+  const auto verdict = [&plan](const Packet& p) {
+    const auto a = plan.apply(p.now, p.from, p.to, p.seq);
+    return std::make_tuple(a.drop, a.extra_delay, a.extra_copies,
+                           a.dup_offset, a.injected);
+  };
+  std::vector<decltype(verdict(packets[0]))> forward;
+  for (const auto& p : packets) forward.push_back(verdict(p));
+  // Judge again in reverse and in a strided shuffle: same verdicts.
+  for (std::size_t i = packets.size(); i-- > 0;) {
+    EXPECT_EQ(verdict(packets[i]), forward[i]) << "packet " << i;
+  }
+  for (std::size_t k = 0; k < packets.size(); ++k) {
+    const std::size_t i = (k * 157) % packets.size();
+    EXPECT_EQ(verdict(packets[i]), forward[i]) << "packet " << i;
+  }
+  // And the draws are live: every randomized kind fired somewhere.
+  FaultKindSet seen = 0;
+  for (const auto& v : forward) seen |= std::get<4>(v);
+  for (const FaultKind k : {FaultKind::kLoss, FaultKind::kDuplicate,
+                            FaultKind::kReorder, FaultKind::kFlap,
+                            FaultKind::kDelaySpike}) {
+    EXPECT_NE(seen & net::fault_bit(k), 0) << net::fault_kind_name(k);
+  }
 }
 
 // ------------------------------------------------- network-level semantics
@@ -159,6 +217,10 @@ TEST(ChaosNetwork, DuplicationKeepsAccountingIdentity) {
   const Address b = f.net.attach_random(f.rng);
   int got = 0;
   f.net.bind(b, [&](Address, const net::PacketPtr&) { ++got; });
+  std::uint64_t duplicated = 0;
+  f.net.set_injection_observer([&](FaultKind k) {
+    if (k == FaultKind::kDuplicate) ++duplicated;
+  });
   f.net.faults().add(
       FaultRule::duplicate(LinkMatcher::all(), 1.0, milliseconds(5)));
   for (int i = 0; i < 50; ++i) {
@@ -169,7 +231,26 @@ TEST(ChaosNetwork, DuplicationKeepsAccountingIdentity) {
   EXPECT_EQ(got, 100);  // every packet delivered twice
   EXPECT_EQ(f.net.packets_sent(), 100u);  // injected copies are "sent"
   EXPECT_EQ(f.net.packets_sent(), f.accounted());
-  EXPECT_EQ(f.net.faults().injected(FaultKind::kDuplicate), 50u);
+  EXPECT_EQ(duplicated, 50u);
+
+  // A later rule that drops the packet drops its copy too: the count of
+  // duplicates must still match the copies that went out.
+  std::uint64_t lost = 0;
+  f.net.set_injection_observer([&](FaultKind k) {
+    if (k == FaultKind::kDuplicate) ++duplicated;
+    if (k == FaultKind::kLoss) ++lost;
+  });
+  f.net.faults().add(FaultRule::loss(LinkMatcher::all(), 0.5));
+  for (int i = 0; i < 200; ++i) {
+    f.net.send(a, b, make_refcounted<NetFixture::P>());
+  }
+  f.sim.run_to_completion();
+  EXPECT_GT(lost, 0u);
+  EXPECT_LT(lost, 200u);
+  EXPECT_EQ(got, 100 + 2 * static_cast<int>(200 - lost));
+  EXPECT_EQ(duplicated, 50u + (200u - lost));
+  EXPECT_EQ(f.net.packets_sent(), 100u + 200u + (200u - lost));
+  EXPECT_EQ(f.net.packets_sent(), f.accounted());
 }
 
 TEST(ChaosNetwork, UnboundArrivalsAreCountedNotVanished) {
@@ -187,8 +268,8 @@ TEST(ChaosNetwork, UnboundArrivalsAreCountedNotVanished) {
 }
 
 TEST(ChaosNetwork, PartitionCoexistsWithOtherFaultRules) {
-  // The old set_link_filter-based partition clobbered any other installed
-  // fault; the rule-stack version must leave neighbours alone.
+  // A partition is one rule on the stack: installing and healing it must
+  // leave the other rules alone.
   NetFixture f;
   const Address a = f.net.attach_random(f.rng);
   const Address b = f.net.attach_random(f.rng);

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
 
 #include "net/transit_stub.hpp"
@@ -201,6 +203,44 @@ TEST(Dependability, LookupsCanOptOutOfAcks) {
   d.finish();
   EXPECT_EQ(d.counters().acks_sent, acks_before);  // no lookup acks
   EXPECT_EQ(d.metrics().lookups_delivered_correct(), 50u);
+}
+
+TEST(Dependability, SmallRingJoinersActivateUnderHeavyLoss) {
+  // 25 nodes with l = 32: no leaf set ever fills, so a joiner activates
+  // once its repair rounds stop turning up members it has not seen. At
+  // 20% loss, failure hearsay keeps removing live members that the
+  // confirming probes re-admit; that churn must not hold a joiner that
+  // already has leaf-set members (and so receives lookups, which it
+  // buffers) inactive for a minute or more.
+  const auto ts = std::make_shared<net::TransitStubTopology>(
+      net::TransitStubParams::scaled(3, 3, 4));
+  for (std::uint64_t seed = 82; seed < 90; ++seed) {
+    DriverConfig cfg;
+    cfg.lookup_rate_per_node = 0.0;
+    cfg.warmup = 0;
+    cfg.seed = seed;
+    net::NetworkConfig ncfg;
+    ncfg.loss_rate = 0.20;
+    OverlayDriver d(ts, ncfg, cfg);
+    std::map<net::Address, int> inactive_with_leaf_s;
+    int longest_s = 0;
+    const auto tick = [&] {
+      d.run_for(seconds(1));
+      for (const auto a : d.live_addresses()) {
+        const auto s = d.node(a)->debug_state();
+        int& run = inactive_with_leaf_s[a];
+        run = !s.active && s.leaf_size > 0 ? run + 1 : 0;
+        longest_s = std::max(longest_s, run);
+      }
+    };
+    for (int i = 0; i < 25; ++i) {
+      d.add_node();
+      tick();
+      tick();
+    }
+    for (int i = 0; i < 240; ++i) tick();
+    EXPECT_LT(longest_s, 60) << "seed " << seed;
+  }
 }
 
 TEST(Dependability, RdpDegradesGracefullyWithLoss) {

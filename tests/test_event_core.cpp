@@ -250,6 +250,38 @@ std::vector<Op> make_wide_script(std::uint64_t seed, int n_ops) {
   return script;
 }
 
+// perf_core's micro mix: a deep steady-state queue, microsecond-resolution
+// short "ack" timers mixed with 30 s "heartbeat" timers, and bursts of 64
+// schedules, 24 cancels of still-cancellable timers and 40 steps.
+std::vector<Op> make_deep_queue_script(std::uint64_t seed, int prefill,
+                                       int bursts) {
+  std::mt19937_64 rng(seed);
+  std::vector<Op> script;
+  std::vector<std::uint64_t> live;  // candidates for cancellation
+  std::uint64_t next_tag = 1;
+  auto schedule_one = [&] {
+    const std::uint64_t r = rng();
+    const SimDuration d = (r & 7u) == 0
+                              ? seconds(30) + static_cast<SimDuration>(r % 1000)
+                              : 1 + static_cast<SimDuration>(r & 0xffffu);
+    script.push_back({Op::kSchedule, next_tag, d});
+    if (r & 1u) live.push_back(next_tag);
+    ++next_tag;
+  };
+  for (int i = 0; i < prefill; ++i) schedule_one();
+  for (int b = 0; b < bursts; ++b) {
+    for (int i = 0; i < 64; ++i) schedule_one();
+    for (int i = 0; i < 24 && !live.empty(); ++i) {
+      const std::size_t k = rng() % live.size();
+      script.push_back({Op::kCancel, live[k], 0});
+      live[k] = live.back();
+      live.pop_back();
+    }
+    for (int i = 0; i < 40; ++i) script.push_back({Op::kStep, 0, 0});
+  }
+  return script;
+}
+
 void run_script_differential(const std::vector<Op>& script) {
   SimAdapter sim;
   RefAdapter ref;
@@ -289,6 +321,7 @@ TEST(EventCoreDifferential, MatchesReferenceAcrossSeeds) {
 
 TEST(EventCoreDifferential, LongRunHeavyChurn) {
   run_differential(0xfeedface, 20000);
+  run_script_differential(make_deep_queue_script(0x5eedc0de, 4000, 400));
 }
 
 TEST(EventCoreDifferential, SameInstantFifoUnderNesting) {

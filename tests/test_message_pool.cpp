@@ -174,8 +174,11 @@ TEST(SmallVecPayload, MoveStealsSpilledBuffer) {
 //
 // Mirror of the pre-PR-3 message representation (shared_ptr<const M>,
 // std::vector payloads), kept local to the test. Both representations
-// replay one random op sequence — allocate, fill, duplicate-alias, FIFO
-// dispatch — and must fold to the same content digest.
+// replay one random op sequence — allocate, fill, duplicate-alias, a
+// lookup hop (incoming message plus its next-hop clone), a row-announce
+// fan-out (one pooled message aliased per destination, one legacy
+// message per destination), FIFO dispatch — and must fold to the same
+// content digest.
 
 namespace legacy {
 
@@ -199,12 +202,41 @@ struct RtRowReplyMsg final : Message {
   std::vector<NodeDescriptor> entries;
 };
 
+struct RtRowAnnounceMsg final : Message {
+  RtRowAnnounceMsg() : Message(MsgType::kRtRowAnnounce) {}
+  int row = 0;
+  std::vector<NodeDescriptor> entries;
+};
+
 struct AckMsg final : Message {
   AckMsg() : Message(MsgType::kAck) {}
   std::uint64_t hop_seq = 0;
 };
 
+struct LookupMsg final : Message {
+  LookupMsg() : Message(MsgType::kLookup) {}
+  NodeId key;
+  std::uint64_t hop_seq = 0;
+  std::uint64_t lookup_id = 0;
+};
+
 }  // namespace legacy
+
+struct PooledTypes {
+  using Probe = pastry::LsProbeMsg;
+  using Row = pastry::RtRowReplyMsg;
+  using Announce = pastry::RtRowAnnounceMsg;
+  using Ack = pastry::AckMsg;
+  using Lookup = pastry::LookupMsg;
+};
+
+struct LegacyTypes {
+  using Probe = legacy::LsProbeMsg;
+  using Row = legacy::RtRowReplyMsg;
+  using Announce = legacy::RtRowAnnounceMsg;
+  using Ack = legacy::AckMsg;
+  using Lookup = legacy::LookupMsg;
+};
 
 std::uint64_t fold(std::uint64_t h, const NodeDescriptor& d) {
   h = (h * 0x100000001b3ull) ^ d.id.value().hi;
@@ -213,28 +245,42 @@ std::uint64_t fold(std::uint64_t h, const NodeDescriptor& d) {
   return h;
 }
 
-template <class ProbeT, class RowT, class AckT, class Ptr>
+template <class T, class Ptr>
 std::uint64_t fold_msg(std::uint64_t h, const Ptr& p) {
   h = (h * 0x100000001b3ull) ^ static_cast<std::uint64_t>(p->type);
   h = fold(h, p->sender);
   switch (p->type) {
     case MsgType::kLsProbe:
     case MsgType::kLsProbeReply: {
-      const auto& m = static_cast<const ProbeT&>(*p);
+      const auto& m = static_cast<const typename T::Probe&>(*p);
       h = (h * 0x100000001b3ull) ^ (m.leaf.size() * 64 + m.failed.size());
       for (const auto& d : m.leaf) h = fold(h, d);
       for (const auto& d : m.failed) h = fold(h, d);
       break;
     }
     case MsgType::kRtRowReply: {
-      const auto& m = static_cast<const RowT&>(*p);
+      const auto& m = static_cast<const typename T::Row&>(*p);
       h = (h * 0x100000001b3ull) ^ static_cast<std::uint64_t>(m.row);
       for (const auto& d : m.entries) h = fold(h, d);
       break;
     }
-    case MsgType::kAck:
-      h = (h * 0x100000001b3ull) ^ static_cast<const AckT&>(*p).hop_seq;
+    case MsgType::kRtRowAnnounce: {
+      const auto& m = static_cast<const typename T::Announce&>(*p);
+      h = (h * 0x100000001b3ull) ^ static_cast<std::uint64_t>(m.row + 16);
+      for (const auto& d : m.entries) h = fold(h, d);
       break;
+    }
+    case MsgType::kAck:
+      h = (h * 0x100000001b3ull) ^
+          static_cast<const typename T::Ack&>(*p).hop_seq;
+      break;
+    case MsgType::kLookup: {
+      const auto& m = static_cast<const typename T::Lookup&>(*p);
+      h = (h * 0x100000001b3ull) ^ m.key.value().lo;
+      h = (h * 0x100000001b3ull) ^ m.lookup_id;
+      h = (h * 0x100000001b3ull) ^ m.hop_seq;
+      break;
+    }
     default:
       break;
   }
@@ -254,10 +300,8 @@ TEST(MessagePoolDifferential, PooledSequenceMatchesSharedPtrSequence) {
   std::uint64_t legacy_h = 0xcbf29ce484222325ull;
 
   auto dispatch_front = [&] {
-    pooled_h = fold_msg<pastry::LsProbeMsg, pastry::RtRowReplyMsg,
-                        pastry::AckMsg>(pooled_h, pooled_q.front());
-    legacy_h = fold_msg<legacy::LsProbeMsg, legacy::RtRowReplyMsg,
-                        legacy::AckMsg>(legacy_h, legacy_q.front());
+    pooled_h = fold_msg<PooledTypes>(pooled_h, pooled_q.front());
+    legacy_h = fold_msg<LegacyTypes>(legacy_h, legacy_q.front());
     pooled_q.pop_front();
     legacy_q.pop_front();
   };
@@ -266,7 +310,7 @@ TEST(MessagePoolDifferential, PooledSequenceMatchesSharedPtrSequence) {
   for (int step = 0; step < 20000; ++step) {
     const std::uint64_t r = rng();
     const NodeDescriptor& sender = roster[(r >> 8) % roster.size()];
-    switch (r % 4) {
+    switch (r % 6) {
       case 0: {
         const std::size_t nleaf = (r >> 16) % 33;
         const std::size_t nfail = (r >> 24) % 9;
@@ -305,6 +349,57 @@ TEST(MessagePoolDifferential, PooledSequenceMatchesSharedPtrSequence) {
         l->hop_seq = r >> 16;
         pooled_q.push_back(std::move(p));
         legacy_q.push_back(std::move(l));
+        break;
+      }
+      case 3: {
+        // One routing hop: the incoming lookup and the clone forwarded
+        // to the next hop (fresh message, copied fields, hop_seq + 1).
+        const NodeDescriptor& hop = roster[(r >> 16) % roster.size()];
+        const NodeId key{r * 0x9e3779b97f4a7c15ull, r};
+        auto p = pastry::make_msg<pastry::LookupMsg>(pool);
+        p->sender = sender;
+        p->key = key;
+        p->lookup_id = static_cast<std::uint64_t>(step);
+        p->hop_seq = r >> 40;
+        auto pc = pastry::make_msg<pastry::LookupMsg>(pool);
+        pc->sender = hop;
+        pc->key = p->key;
+        pc->lookup_id = p->lookup_id;
+        pc->hop_seq = p->hop_seq + 1;
+        auto l = std::make_shared<legacy::LookupMsg>();
+        l->sender = sender;
+        l->key = key;
+        l->lookup_id = static_cast<std::uint64_t>(step);
+        l->hop_seq = r >> 40;
+        auto lc = std::make_shared<legacy::LookupMsg>(*l);
+        lc->sender = hop;
+        lc->hop_seq = l->hop_seq + 1;
+        pooled_q.push_back(std::move(p));
+        pooled_q.push_back(std::move(pc));
+        legacy_q.push_back(std::move(l));
+        legacy_q.push_back(std::move(lc));
+        break;
+      }
+      case 4: {
+        // Join-time row announce to 2..9 destinations: one pooled message
+        // aliased per destination; the legacy layer built one per
+        // destination.
+        const std::size_t n = (r >> 16) % 17;
+        const unsigned fanout = 2 + static_cast<unsigned>((r >> 24) % 8);
+        const int row = static_cast<int>((r >> 40) & 7);
+        auto p = pastry::make_msg<pastry::RtRowAnnounceMsg>(pool);
+        p->sender = sender;
+        p->row = row;
+        p->entries.assign(roster.begin(), roster.begin() + n);
+        pastry::MessagePtr shared = std::move(p);
+        for (unsigned i = 0; i < fanout; ++i) {
+          pooled_q.push_back(shared);
+          auto l = std::make_shared<legacy::RtRowAnnounceMsg>();
+          l->sender = sender;
+          l->row = row;
+          l->entries.assign(roster.begin(), roster.begin() + n);
+          legacy_q.push_back(std::move(l));
+        }
         break;
       }
       default: {

@@ -128,7 +128,7 @@ TEST(NetworkPartition, MinorityRejoinAfterHealRestoresConsistency) {
 TEST(NetworkPartition, PartitionComposesWithInstalledFaultRules) {
   // partition()/heal() ride the rule stack now: installing and healing a
   // partition must not disturb other injected faults, and the partition
-  // drop is attributed to the partition rule's counter.
+  // drop is counted under kPartition.
   Fixture f(114, 10);
   auto& net = f.driver->network();
   net.faults().add(net::FaultRule::loss(net::LinkMatcher::all(), 0.01));
@@ -136,11 +136,13 @@ TEST(NetworkPartition, PartitionComposesWithInstalledFaultRules) {
   std::vector<net::Address> side_a(addrs.begin(), addrs.begin() + 5);
   net.partition(side_a);
   EXPECT_EQ(net.faults().rule_count(), 2u);
-  const auto cut_before = net.faults().injected(net::FaultKind::kPartition);
+  const auto cut_before =
+      f.driver->metrics().fault_injections(net::FaultKind::kPartition);
   f.driver->issue_lookup(side_a[0],
                          f.driver->node(addrs[7])->descriptor().id);
   f.driver->run_for(seconds(2));
-  EXPECT_GT(net.faults().injected(net::FaultKind::kPartition), cut_before);
+  EXPECT_GT(f.driver->metrics().fault_injections(net::FaultKind::kPartition),
+            cut_before);
   net.heal();
   EXPECT_EQ(net.faults().rule_count(), 1u);  // the loss rule survives
   net.heal();                                // idempotent

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
 #include <memory>
 
@@ -186,24 +187,63 @@ TEST(ShardedDriver, ZeroLookaheadTopologyFallsBackToSingleShard) {
   EXPECT_GT(d.metrics().lookups_delivered_correct(), 100u);
 }
 
-TEST(ShardedDriver, FaultRecipeIsDeterministicAtFixedShardCount) {
+TEST(ShardedDriver, FaultRecipeIsShardCountInvariant) {
+  // Every randomized rule kind at once: the single plan's draws are keyed
+  // by packet identity, so the run — and each kind's injection count —
+  // is byte-identical at 1, 2 and 4 shards.
   const auto trace = small_trace();
-  const auto run = [&trace] {
-    ShardedDriver d(topo(), {}, small_config(), 4);
+  struct Outcome {
+    std::uint64_t digest = 0;
+    std::array<std::uint64_t, net::kFaultKindCount> injected{};
+  };
+  const auto run = [&trace](std::size_t shards) {
+    ShardedDriver d(topo(), {}, small_config(), shards);
     d.add_fault_rule(net::FaultRule::loss(net::LinkMatcher::all(), 0.01));
     d.add_fault_rule(net::FaultRule::delay_spike(net::LinkMatcher::all(),
                                                  milliseconds(20), minutes(3),
                                                  minutes(6)));
     d.add_fault_rule(net::FaultRule::duplicate(net::LinkMatcher::all(), 0.005,
                                                milliseconds(1)));
+    d.add_fault_rule(net::FaultRule::reorder(net::LinkMatcher::all(), 0.02,
+                                             milliseconds(15)));
+    d.add_fault_rule(net::FaultRule::flap(net::LinkMatcher::endpoint({3, 17}),
+                                          seconds(20), 0.5, minutes(4),
+                                          minutes(7)));
+    if (shards > 1) {
+      EXPECT_GT(d.effective_shards(), 1u);
+    }
     d.run_trace(trace);
-    std::uint64_t h = digest(d);
-    h = fold(h, d.metrics().total_fault_injections());
-    return h;
+    Outcome o;
+    o.digest = digest(d);
+    for (std::size_t k = 0; k < net::kFaultKindCount; ++k) {
+      o.injected[k] =
+          d.metrics().fault_injections(static_cast<net::FaultKind>(k));
+    }
+    return o;
   };
-  const std::uint64_t a = run();
-  const std::uint64_t b = run();
-  EXPECT_EQ(a, b);
+  const Outcome one = run(1);
+  for (const net::FaultKind k :
+       {net::FaultKind::kLoss, net::FaultKind::kDelaySpike,
+        net::FaultKind::kDuplicate, net::FaultKind::kReorder,
+        net::FaultKind::kFlap}) {
+    EXPECT_GT(one.injected[static_cast<std::size_t>(k)], 0u)
+        << net::fault_kind_name(k);
+  }
+  for (const std::size_t shards : {2u, 4u}) {
+    const Outcome o = run(shards);
+    EXPECT_EQ(o.digest, one.digest) << shards << " shards";
+    EXPECT_EQ(o.injected, one.injected) << shards << " shards";
+  }
+}
+
+TEST(ShardedDriver, ReorderIsCountedAsReorder) {
+  // Reorder jitter is its own fault kind, not a delay spike.
+  ShardedDriver d(topo(), {}, small_config(), 2);
+  d.add_fault_rule(net::FaultRule::reorder(net::LinkMatcher::all(), 0.05,
+                                           milliseconds(10)));
+  d.run_trace(small_trace());
+  EXPECT_GT(d.metrics().fault_injections(net::FaultKind::kReorder), 0u);
+  EXPECT_EQ(d.metrics().fault_injections(net::FaultKind::kDelaySpike), 0u);
 }
 
 TEST(ShardedDriver, FaultRecipeActuallyInjects) {

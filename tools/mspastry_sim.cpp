@@ -90,13 +90,12 @@ void usage() {
       "  --shards N             worker shards of the keyed trace engine\n"
       "                         (default 1); the results block is\n"
       "                         byte-identical for every N, including\n"
-      "                         --adversary, --eclipse-victim and\n"
-      "                         --squirrel runs (ignored by --chaos)\n"
+      "                         --adversary, --eclipse-victim,\n"
+      "                         --fault-recipe and --squirrel runs\n"
+      "                         (ignored by --chaos)\n"
       "  --fault-recipe         install the canonical fault plan (1% loss,\n"
       "                         20 ms delay spike mid-run, 0.5%\n"
-      "                         duplication) on every shard; the loss and\n"
-      "                         duplication draws are per shard, so the\n"
-      "                         results depend on --shards\n"
+      "                         duplication)\n"
       "  --squirrel             attach the Squirrel-style cooperative web\n"
       "                         cache (diurnal request workload, home-node\n"
       "                         caching) and report hit rates and request\n"
