@@ -18,6 +18,7 @@
 #include <deque>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -154,6 +155,16 @@ class JsonEmitter {
       body_ += v ? "true" : "false";
       return *this;
     }
+    Row& field(const char* key, const std::vector<std::uint64_t>& v) {
+      append_key(key);
+      body_ += '[';
+      for (std::size_t i = 0; i < v.size(); ++i) {
+        if (i > 0) body_ += ", ";
+        body_ += std::to_string(v[i]);
+      }
+      body_ += ']';
+      return *this;
+    }
     /// Checksums are emitted as fixed-width hex strings so diffs of two
     /// BENCH files line up visually.
     Row& hex(const char* key, std::uint64_t v) {
@@ -223,6 +234,52 @@ class JsonEmitter {
   std::deque<Row> rows_;
   bool written_ = false;
 };
+
+// --- Host block --------------------------------------------------------------
+//
+// Where a BENCH file was recorded: timings from different hosts or build
+// types do not compare. MSPASTRY_BUILD_TYPE and MSPASTRY_GIT_SHA are set
+// per target by bench/CMakeLists.txt; elsewhere they read "unknown".
+
+struct HostInfo {
+  unsigned cores = 0;  ///< std::thread::hardware_concurrency()
+  std::string build_type;
+  std::string compiler;
+  std::string git_sha;  ///< source revision when the build was configured
+};
+
+inline HostInfo host_info() {
+  HostInfo h;
+  h.cores = std::thread::hardware_concurrency();
+#ifdef MSPASTRY_BUILD_TYPE
+  h.build_type = MSPASTRY_BUILD_TYPE;
+#endif
+  if (h.build_type.empty()) h.build_type = "unknown";
+#if defined(__clang__)
+  h.compiler = std::string("clang ") + __clang_version__;
+#elif defined(__GNUC__)
+  h.compiler = std::string("gcc ") + __VERSION__;
+#else
+  h.compiler = "unknown";
+#endif
+#ifdef MSPASTRY_GIT_SHA
+  h.git_sha = MSPASTRY_GIT_SHA;
+#else
+  h.git_sha = "unknown";
+#endif
+  return h;
+}
+
+/// Print the host block and record it as a "host" row.
+inline void emit_host(JsonEmitter& out, const HostInfo& h) {
+  std::printf("host: cores=%u build=%s compiler=%s git=%s\n", h.cores,
+              h.build_type.c_str(), h.compiler.c_str(), h.git_sha.c_str());
+  out.row("host")
+      .field("cores", static_cast<std::uint64_t>(h.cores))
+      .field("build_type", h.build_type)
+      .field("compiler", h.compiler)
+      .field("git_sha", h.git_sha);
+}
 
 enum class TopologyKind { kGATech, kMercator, kCorpNet };
 

@@ -1,7 +1,11 @@
 // Parallel sharded simulation (PDES) benchmark. Runs the Figure-4-style
 // Gnutella churn replay on the conservative epoch engine at 1, 2, 4 and
 // 8 shards and records, per shard count: wall-clock, events/sec, epoch
-// count, lookahead, and the full run-summary digest in BENCH_pdes.json.
+// count, lookahead, the full run-summary digest, the engine's epoch
+// telemetry (per-shard busy and barrier-wait time, single-threaded time,
+// events-per-epoch histogram) and the epoch barrier's cost per crossing,
+// under a host block (cores, build type, compiler, revision), in
+// BENCH_pdes.json.
 //
 // Two gates:
 //   1. Determinism (always on): every shard count must produce the exact
@@ -21,7 +25,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -38,6 +41,8 @@ struct ShardRun {
   std::uint64_t epochs = 0;
   SimDuration lookahead = 0;
   RunSummary summary;
+  ShardedSimulator::EpochTelemetry telemetry;
+  double barrier_ns_per_crossing = 0.0;
 };
 
 ShardRun run_sharded(const trace::ChurnTrace& trace, std::size_t shards) {
@@ -52,7 +57,59 @@ ShardRun run_sharded(const trace::ChurnTrace& trace, std::size_t shards) {
   r.effective = driver.effective_shards();
   r.epochs = driver.epochs();
   r.lookahead = driver.lookahead();
+  r.telemetry = driver.epoch_telemetry();
   return r;
+}
+
+/// Wall time of one epoch barrier crossing at `shards`: every epoch of
+/// this engine runs one no-op event per shard, so an epoch costs two
+/// crossings plus the single-threaded step between them.
+double barrier_ns_per_crossing(std::size_t shards, std::uint64_t epochs) {
+  ShardedSimulator eng(shards, 1);
+  struct Tick {
+    Simulator* sim;
+    void operator()() const { sim->schedule_at(sim->now() + 1, Tick{sim}); }
+  };
+  for (std::size_t i = 0; i < eng.shards(); ++i) {
+    eng.shard(i).schedule_at(0, Tick{&eng.shard(i)});
+  }
+  eng.run_until(1000);  // start the pool's threads outside the timing
+  WallTimer timer;
+  eng.run_until(1000 + static_cast<SimTime>(epochs));
+  return timer.seconds() * 1e9 / (2.0 * static_cast<double>(epochs));
+}
+
+std::vector<std::uint64_t> to_us(const std::vector<std::uint64_t>& ns) {
+  std::vector<std::uint64_t> us;
+  for (const std::uint64_t v : ns) us.push_back(v / 1000);
+  return us;
+}
+
+void print_telemetry(const ShardRun& r) {
+  const auto& t = r.telemetry;
+  if (t.busy_ns.empty()) return;
+  std::printf("    busy ms:");
+  for (const std::uint64_t v : t.busy_ns) std::printf(" %.1f", v / 1e6);
+  std::printf("  barrier-wait ms:");
+  for (const std::uint64_t v : t.wait_ns) std::printf(" %.1f", v / 1e6);
+  std::printf("  serial ms: %.1f  barrier: %.0f ns/crossing\n",
+              t.serial_ns / 1e6, r.barrier_ns_per_crossing);
+  std::printf("    events/epoch log2 histogram:");
+  for (std::size_t b = 0; b < t.events_per_epoch_log2.size(); ++b) {
+    if (t.events_per_epoch_log2[b] == 0) continue;
+    const std::uint64_t lo = b == 0 ? 0 : std::uint64_t{1} << (b - 1);
+    std::printf(" [%llu+]=%llu", (unsigned long long)lo,
+                (unsigned long long)t.events_per_epoch_log2[b]);
+  }
+  std::printf("\n");
+}
+
+/// The histogram up to its last non-empty bucket.
+std::vector<std::uint64_t> histogram(const ShardedSimulator::EpochTelemetry& t) {
+  std::size_t n = t.events_per_epoch_log2.size();
+  while (n > 0 && t.events_per_epoch_log2[n - 1] == 0) --n;
+  return {t.events_per_epoch_log2.begin(),
+          t.events_per_epoch_log2.begin() + static_cast<std::ptrdiff_t>(n)};
 }
 
 }  // namespace
@@ -71,9 +128,11 @@ int main(int argc, char** argv) {
     }
   }
 
-  const unsigned cores = std::thread::hardware_concurrency();
   print_header("Parallel sharded simulation (perf_pdes)");
-  std::printf("host cores: %u\n", cores);
+  JsonEmitter out("pdes");
+  const HostInfo host = host_info();
+  const unsigned cores = host.cores;
+  emit_host(out, host);
 
   // The same fig4-mix workload perf_core replays, sized so the smoke run
   // finishes in CI seconds while still crossing thousands of epochs.
@@ -85,17 +144,21 @@ int main(int argc, char** argv) {
                              std::to_string(ns) +
                              " time_scale=" + std::to_string(ts) + " seed=200";
 
-  JsonEmitter out("pdes");
   const std::vector<std::size_t> shard_counts{1, 2, 4, 8};
+  const std::uint64_t barrier_epochs = smoke ? 20'000 : 100'000;
   std::vector<ShardRun> runs;
   for (const std::size_t s : shard_counts) {
-    const ShardRun r = run_sharded(trace, s);
+    ShardRun r = run_sharded(trace, s);
+    if (r.effective > 1) {
+      r.barrier_ns_per_crossing = barrier_ns_per_crossing(s, barrier_epochs);
+    }
     std::printf(
         "  shards=%zu (effective %zu): %9llu events in %7.3fs  "
         "(%9.0f ev/s)  epochs=%llu  digest %016llx\n",
         r.shards, r.effective, (unsigned long long)r.summary.executed_events,
         r.summary.wall_seconds, r.summary.events_per_sec,
         (unsigned long long)r.epochs, (unsigned long long)r.summary.digest);
+    print_telemetry(r);
     runs.push_back(r);
   }
 
@@ -110,6 +173,11 @@ int main(int argc, char** argv) {
         .field("effective_shards", r.effective)
         .field("epochs", r.epochs)
         .field("lookahead_us", r.lookahead)
+        .field("busy_us", to_us(r.telemetry.busy_ns))
+        .field("barrier_wait_us", to_us(r.telemetry.wait_ns))
+        .field("serial_us", r.telemetry.serial_ns / 1000)
+        .field("events_per_epoch_log2", histogram(r.telemetry))
+        .field("barrier_ns_per_crossing", r.barrier_ns_per_crossing)
         .field("speedup_vs_1",
                r.summary.wall_seconds > 0
                    ? base.summary.wall_seconds / r.summary.wall_seconds

@@ -188,6 +188,11 @@ class ShardedDriver {
 
   std::uint64_t executed_events() const { return engine_.executed_events(); }
   std::uint64_t epochs() const { return engine_.epochs(); }
+  /// Per-shard busy and barrier-wait time and the events-per-epoch
+  /// histogram (empty on a single-shard run).
+  const ShardedSimulator::EpochTelemetry& epoch_telemetry() const {
+    return engine_.epoch_telemetry();
+  }
   std::size_t effective_shards() const { return engine_.shards(); }
   std::size_t requested_shards() const { return engine_.requested_shards(); }
   SimDuration lookahead() const { return lookahead_; }

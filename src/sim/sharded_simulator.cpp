@@ -1,56 +1,201 @@
 #include "sim/sharded_simulator.hpp"
 
-#include <barrier>
+#include <atomic>
+#include <bit>
 #include <cassert>
+#include <chrono>
 #include <thread>
 
 namespace mspastry {
+namespace {
+
+/// One turn of a spin-wait loop: tells the core this is a busy-wait, so a
+/// sibling hyperthread gets the pipeline and the exit does not pay a
+/// memory-order mis-speculation flush.
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield" ::: "memory");
+#endif
+}
+
+std::int64_t now_ns() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+/// Reusable barrier for a fixed set of threads that spins, then parks.
+///
+/// An arrival counter and a generation word. The last thread to arrive
+/// resets the counter and bumps the generation; the others watch the
+/// generation, first by spinning on acquire loads for kSpinNs, then
+/// parked in std::atomic::wait. An epoch's parallel phase on a sparse
+/// run lasts a few microseconds, less than a futex sleep plus the
+/// scheduler's wake-up, so a waiter that spins usually sees the bump
+/// without entering the kernel.
+///
+/// kSpinNs follows from the cost it avoids: a parked crossing costs
+/// 4–8 µs of wall time (measured on a 4-vCPU x86 host at 2 and 4
+/// threads), so ~10 of them cover a sparse epoch's parallel phase plus
+/// the single-threaded step that follows, while a waiter that parks
+/// anyway (a long barrier hook, the end of a run) has burned only that
+/// much CPU first. The budget is checked against the clock, not counted
+/// in pause instructions, whose latency differs ~10x across cores.
+///
+/// Spinning only pays when every thread has a core. With more threads
+/// than hardware threads a spinner can hold the core the last arriver
+/// needs, so the barrier parks at once (`spin` false).
+class EpochBarrier {
+ public:
+  EpochBarrier(std::uint32_t threads, bool spin)
+      : threads_(threads), spin_(spin) {}
+
+  EpochBarrier(const EpochBarrier&) = delete;
+  EpochBarrier& operator=(const EpochBarrier&) = delete;
+
+  void arrive_and_wait() {
+    // The generation cannot move before this thread arrives, and this
+    // thread last saw its current value, so a relaxed load suffices.
+    const std::uint32_t gen = gen_.load(std::memory_order_relaxed);
+    // acq_rel: every arrival's release joins the counter's release
+    // sequence, so the last arriver acquires all earlier arrivers'
+    // writes before it publishes the new generation.
+    if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == threads_) {
+      arrived_.store(0, std::memory_order_relaxed);
+      // Release suffices for the data; seq_cst also keeps the bump ahead
+      // of notify_all's own check for parked waiters (a store→load
+      // pair), so a waiter that parks just now is never missed.
+      gen_.store(gen + 1, std::memory_order_seq_cst);
+      gen_.notify_all();
+      return;
+    }
+    if (spin_) {
+      const std::int64_t deadline = now_ns() + kSpinNs;
+      do {
+        for (int i = 0; i < kSpinsPerClockRead; ++i) {
+          if (gen_.load(std::memory_order_acquire) != gen) return;
+          cpu_relax();
+        }
+      } while (now_ns() < deadline);
+    }
+    while (gen_.load(std::memory_order_acquire) == gen) {
+      gen_.wait(gen, std::memory_order_acquire);
+    }
+  }
+
+ private:
+  static constexpr std::int64_t kSpinNs = 50'000;
+  static constexpr int kSpinsPerClockRead = 64;
+
+  const std::uint32_t threads_;
+  const bool spin_;
+  // Separate cache lines: arrivals write the counter while spinners read
+  // the generation.
+  alignas(64) std::atomic<std::uint32_t> arrived_{0};
+  alignas(64) std::atomic<std::uint32_t> gen_{0};
+};
+
+}  // namespace
 
 /// Persistent worker threads for the parallel phase. The main thread
-/// executes shard 0 itself; shards 1..S-1 each get a thread. Two barriers
-/// frame every phase: `start` releases the workers onto their shard with
-/// the bound already published, `done` hands control back once every
-/// shard is quiescent. Barrier phase completion synchronises, so `bound`
-/// and `stop` need no atomics: they are written strictly before the start
-/// arrival and read strictly after it.
+/// executes shard 0 itself; shards 1..S-1 each get a thread. Every epoch
+/// crosses the barrier twice: the first crossing releases the workers
+/// onto their shard with the bound already published, the second hands
+/// control back once every shard is quiescent.
+///
+/// `bound`, `stop` and the stamps are plain fields. The main thread
+/// writes `bound` and `stop` before it arrives at the first crossing and
+/// the workers read them after it; a worker writes its stamp before it
+/// arrives at the second crossing and the main thread reads it after.
+/// Each crossing orders every arrival before every departure (arrivals
+/// release into the counter, the last arriver acquires them and releases
+/// the generation, waiters acquire it), so these accesses never race.
 struct ShardedSimulator::Pool {
+  /// One shard's run_until span in the current epoch; a cache line each,
+  /// since every shard writes its own.
+  struct alignas(64) Stamp {
+    std::int64_t start_ns = 0;
+    std::int64_t end_ns = 0;
+  };
+
   ShardedSimulator& owner;
-  std::barrier<> start;
-  std::barrier<> done;
+  EpochBarrier barrier;
   SimTime bound = kTimeZero;
   bool stop = false;
+  std::vector<Stamp> stamps;
+  std::int64_t prev_last_end_ns = 0;  // 0 until the first epoch completes
   std::vector<std::thread> threads;
 
   explicit Pool(ShardedSimulator& o)
       : owner(o),
-        start(static_cast<std::ptrdiff_t>(o.sims_.size())),
-        done(static_cast<std::ptrdiff_t>(o.sims_.size())) {
+        barrier(static_cast<std::uint32_t>(o.sims_.size()),
+                o.sims_.size() <= std::thread::hardware_concurrency()),
+        stamps(o.sims_.size()) {
+    owner.telemetry_.busy_ns.assign(o.sims_.size(), 0);
+    owner.telemetry_.wait_ns.assign(o.sims_.size(), 0);
     threads.reserve(o.sims_.size() - 1);
     for (std::size_t i = 1; i < o.sims_.size(); ++i) {
       threads.emplace_back([this, i] { worker(i); });
     }
   }
 
+  Pool(const Pool&) = delete;
+  Pool& operator=(const Pool&) = delete;
+
   ~Pool() {
     stop = true;
-    start.arrive_and_wait();  // releases workers into the stop branch
+    barrier.arrive_and_wait();  // releases workers into the stop branch
     for (auto& t : threads) t.join();
+  }
+
+  void run_shard(std::size_t i) {
+    Stamp& s = stamps[i];
+    s.start_ns = now_ns();
+    owner.sims_[i]->run_until(bound);
+    s.end_ns = now_ns();
   }
 
   void worker(std::size_t i) {
     for (;;) {
-      start.arrive_and_wait();
+      barrier.arrive_and_wait();  // epoch start
       if (stop) return;
-      owner.sims_[i]->run_until(bound);
-      done.arrive_and_wait();
+      run_shard(i);
+      barrier.arrive_and_wait();  // epoch end
     }
   }
 
   void run(SimTime b) {
+    const std::uint64_t events_before = owner.executed_events();
     bound = b;
-    start.arrive_and_wait();
-    owner.sims_[0]->run_until(b);
-    done.arrive_and_wait();
+    barrier.arrive_and_wait();
+    run_shard(0);
+    barrier.arrive_and_wait();
+    record(owner.executed_events() - events_before);
+  }
+
+  /// Fold this epoch's stamps into the owner's telemetry (main thread,
+  /// every shard quiescent).
+  void record(std::uint64_t events) {
+    EpochTelemetry& t = owner.telemetry_;
+    std::int64_t first_start = stamps[0].start_ns;
+    std::int64_t last_end = stamps[0].end_ns;
+    for (const Stamp& s : stamps) {
+      if (s.start_ns < first_start) first_start = s.start_ns;
+      if (s.end_ns > last_end) last_end = s.end_ns;
+    }
+    for (std::size_t i = 0; i < stamps.size(); ++i) {
+      const Stamp& s = stamps[i];
+      t.busy_ns[i] += static_cast<std::uint64_t>(s.end_ns - s.start_ns);
+      t.wait_ns[i] += static_cast<std::uint64_t>(
+          (s.start_ns - first_start) + (last_end - s.end_ns));
+    }
+    if (prev_last_end_ns != 0) {
+      t.serial_ns += static_cast<std::uint64_t>(first_start - prev_last_end_ns);
+    }
+    prev_last_end_ns = last_end;
+    ++t.events_per_epoch_log2[std::bit_width(events)];
   }
 };
 

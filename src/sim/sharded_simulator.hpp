@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -33,9 +34,11 @@ namespace mspastry {
 ///
 /// Because workers only touch their own shard during phase 2 and all
 /// cross-shard hand-off happens in the quiescent phase 3, the only
-/// synchronisation is a pair of barriers per epoch — no locks, no atomics
-/// on the hot path. Outbox rows are per (src, dst) and written only by
-/// src's worker, so they are single-producer by construction.
+/// synchronisation is two crossings of one spin-then-park barrier per
+/// epoch (an arrival counter and a generation word; see Pool in the .cpp)
+/// — no locks, and the event loop itself touches no atomics. Outbox rows
+/// are per (src, dst) and written only by src's worker, so they are
+/// single-producer by construction.
 ///
 /// Determinism contract: epoch boundaries depend only on the global
 /// minimum pending time and L, both of which are independent of the shard
@@ -91,6 +94,29 @@ class ShardedSimulator {
   /// Epochs completed so far (each = one parallel phase + one barrier).
   std::uint64_t epochs() const { return epochs_; }
 
+  /// Where a multi-shard run's wall time went, derived from two
+  /// steady_clock reads per shard per epoch (around its run_until). A
+  /// single-shard run has no barrier, takes none of these reads and
+  /// leaves everything empty.
+  struct EpochTelemetry {
+    /// Per shard: nanoseconds spent inside the epoch's run_until.
+    std::vector<std::uint64_t> busy_ns;
+    /// Per shard: nanoseconds held at the two barrier crossings while
+    /// another shard was already running — the idle tail of an epoch
+    /// until the slowest shard finished, plus the lag behind the first
+    /// shard released into the next epoch (wake-up latency).
+    std::vector<std::uint64_t> wait_ns;
+    /// Nanoseconds from the last shard finishing one epoch to the first
+    /// shard starting the next: the single-threaded phase (outbox drain,
+    /// barrier hook, next minimum) plus the barrier hand-off.
+    std::uint64_t serial_ns = 0;
+    /// events_per_epoch_log2[b] counts epochs whose executed-event count
+    /// n has std::bit_width(n) == b: b = 0 is an empty epoch, b = 1 one
+    /// event, b = 2 two or three, b = 3 four to seven, ...
+    std::array<std::uint64_t, 65> events_per_epoch_log2{};
+  };
+  const EpochTelemetry& epoch_telemetry() const { return telemetry_; }
+
   /// End of the epoch currently executing (valid during the parallel
   /// phase and the barrier hook): every posted event must satisfy
   /// t >= epoch_end().
@@ -137,7 +163,9 @@ class ShardedSimulator {
   SimTime epoch_end_ = kTimeZero;
   std::uint64_t epochs_ = 0;
 
-  struct Pool;  // worker threads + barriers (multi-shard runs only)
+  EpochTelemetry telemetry_;
+
+  struct Pool;  // worker threads + barrier (multi-shard runs only)
   std::unique_ptr<Pool> pool_;
 };
 

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <chrono>
 #include <cstdint>
 #include <functional>
+#include <numeric>
+#include <thread>
 #include <vector>
 
 #include "sim/sharded_simulator.hpp"
@@ -233,6 +237,168 @@ TEST(ShardedSim, PostBeforeRunAndIdleShardsAreHarmless) {
   eng.run_until(10'000);
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(eng.executed_events(), 2u);
+}
+
+/// Tokens hopping around a ring of actors, one hop per lookahead, all in
+/// lockstep: every epoch carries exactly kRingTokens events, so a run is
+/// almost nothing but barrier crossings. Each token folds its own path
+/// into its own state, so the digest does not depend on the order in
+/// which same-time hops execute.
+constexpr int kRingActors = 8;
+constexpr int kRingTokens = 2;
+
+struct RingRun {
+  std::uint64_t events = 0;
+  std::uint64_t cross_posts = 0;  // hops between actors on different shards
+  std::uint64_t digest = 0;
+};
+
+struct Ring {
+  std::array<std::uint64_t, kRingTokens> state{};
+  /// hop(token, from_actor, to_actor, at)
+  std::function<void(int, int, int, SimTime)> hop;
+
+  void arrive(int token, int actor, SimTime t) {
+    std::uint64_t& st = state[static_cast<std::size_t>(token)];
+    st = mix64(st ^ (static_cast<std::uint64_t>(actor) << 40) ^
+               static_cast<std::uint64_t>(t));
+    const int next =
+        (actor + 1 + static_cast<int>(st % (kRingActors - 1))) % kRingActors;
+    hop(token, actor, next, t + kL);
+  }
+
+  void seed() {
+    for (int k = 0; k < kRingTokens; ++k) hop(k, -1, k, 0);
+  }
+
+  std::uint64_t digest() const {
+    std::uint64_t d = 1469598103934665603ull;
+    for (const std::uint64_t st : state) d = (d ^ st) * 1099511628211ull;
+    return d;
+  }
+};
+
+/// The ring on the raw simulator; cross_posts counts the hops that would
+/// cross shards under the engine's actor % shards placement.
+RingRun ring_raw(std::size_t shards, SimTime horizon) {
+  Simulator sim;
+  Ring ring;
+  RingRun r;
+  ring.hop = [&](int token, int from, int to, SimTime at) {
+    if (from >= 0 && static_cast<std::size_t>(from) % shards !=
+                         static_cast<std::size_t>(to) % shards) {
+      ++r.cross_posts;
+    }
+    sim.schedule_at(at, [&ring, token, to, at] { ring.arrive(token, to, at); });
+  };
+  ring.seed();
+  sim.run_until(horizon);
+  r.events = sim.executed_events();
+  r.digest = ring.digest();
+  return r;
+}
+
+RingRun ring_sharded(ShardedSimulator& eng, SimTime horizon) {
+  Ring ring;
+  RingRun r;
+  // One counter per source shard: only that shard's worker writes it.
+  std::vector<std::uint64_t> posts(eng.shards(), 0);
+  const auto shard_of = [&eng](int a) {
+    return static_cast<std::size_t>(a) % eng.shards();
+  };
+  ring.hop = [&](int token, int from, int to, SimTime at) {
+    const std::size_t dst = shard_of(to);
+    const std::size_t src = from < 0 ? dst : shard_of(from);
+    auto fn = [&ring, token, to, at] { ring.arrive(token, to, at); };
+    if (src == dst) {
+      eng.shard(dst).schedule_at(at, std::move(fn));
+    } else {
+      ++posts[src];
+      eng.post(src, dst, at, std::move(fn));
+    }
+  };
+  ring.seed();
+  eng.run_until(horizon);
+  r.cross_posts = std::accumulate(posts.begin(), posts.end(), std::uint64_t{0});
+  r.events = eng.executed_events();
+  r.digest = ring.digest();
+  return r;
+}
+
+TEST(ShardedSim, HundredThousandNearEmptyEpochsMatchRawSimulator) {
+  // Barrier stress: ~100k epochs of two events each, at 2 and 4 shards.
+  constexpr SimTime kRingHorizon = 100'000 * kL;
+  for (const std::size_t s : {2u, 4u}) {
+    const RingRun want = ring_raw(s, kRingHorizon);
+    ASSERT_GT(want.cross_posts, 100'000u);
+    ShardedSimulator eng(s, kL);
+    const RingRun got = ring_sharded(eng, kRingHorizon);
+    EXPECT_EQ(got.events, want.events) << "shards=" << s;
+    EXPECT_EQ(got.cross_posts, want.cross_posts) << "shards=" << s;
+    EXPECT_EQ(got.digest, want.digest) << "shards=" << s;
+    EXPECT_GE(eng.epochs(), 100'000u) << "shards=" << s;
+
+    // Every epoch ran exactly kRingTokens events: all in bucket 2.
+    const auto& t = eng.epoch_telemetry();
+    EXPECT_EQ(t.events_per_epoch_log2[2], eng.epochs()) << "shards=" << s;
+    EXPECT_EQ(std::accumulate(t.events_per_epoch_log2.begin(),
+                              t.events_per_epoch_log2.end(), std::uint64_t{0}),
+              eng.epochs())
+        << "shards=" << s;
+    ASSERT_EQ(t.busy_ns.size(), s);
+    ASSERT_EQ(t.wait_ns.size(), s);
+    for (std::size_t i = 0; i < s; ++i) {
+      EXPECT_GT(t.busy_ns[i], 0u) << "shards=" << s << " shard " << i;
+    }
+  }
+}
+
+TEST(ShardedSim, SingleShardRunRecordsNoEpochTelemetry) {
+  ShardedSimulator eng(1, kL);
+  const RingRun got = ring_sharded(eng, 1000 * kL);
+  EXPECT_GT(got.events, 1000u);
+  const auto& t = eng.epoch_telemetry();
+  EXPECT_TRUE(t.busy_ns.empty());
+  EXPECT_TRUE(t.wait_ns.empty());
+  EXPECT_EQ(t.serial_ns, 0u);
+  EXPECT_EQ(std::accumulate(t.events_per_epoch_log2.begin(),
+                            t.events_per_epoch_log2.end(), std::uint64_t{0}),
+            0u);
+}
+
+TEST(ShardedSim, OversubscribedPoolCompletes) {
+  // One more thread than the host has hardware threads (capped at 8):
+  // the barrier must park instead of spinning, and still finish.
+  const unsigned hw = std::thread::hardware_concurrency();
+  const std::size_t s = std::max(2u, std::min(hw + 1, 8u));
+  constexpr SimTime kRingHorizon = 20'000 * kL;
+  const RingRun want = ring_raw(s, kRingHorizon);
+  ShardedSimulator eng(s, kL);
+  ASSERT_EQ(eng.shards(), s);
+  const RingRun got = ring_sharded(eng, kRingHorizon);
+  EXPECT_EQ(got.events, want.events) << "shards=" << s;
+  EXPECT_EQ(got.cross_posts, want.cross_posts) << "shards=" << s;
+  EXPECT_EQ(got.digest, want.digest) << "shards=" << s;
+}
+
+TEST(ShardedSim, DestroyingAPoolParkedAtEpochStartJoins) {
+  // After run_until returns, the workers wait at the next epoch's start
+  // crossing; past the spin budget they park. Destruction must wake and
+  // join them.
+  for (const std::size_t s : {2u, 4u}) {
+    for (int round = 0; round < 3; ++round) {
+      std::vector<int> fired(s, 0);  // one slot per shard's thread
+      {
+        ShardedSimulator eng(s, kL);
+        for (std::size_t i = 0; i < s; ++i) {
+          eng.shard(i).schedule_at(10, [&fired, i] { ++fired[i]; });
+        }
+        eng.run_until(1000);
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      }
+      EXPECT_EQ(fired, std::vector<int>(s, 1)) << "shards=" << s;
+    }
+  }
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "trace/churn_generators.hpp"
 #include "trace/churn_trace.hpp"
@@ -182,17 +183,12 @@ TEST(ChurnTrace, GoldenTraceFileLoadsAndValidates) {
   // format against a real artefact and pins the generator against
   // accidental drift (regenerate it deliberately with
   // `mspastry-sim --save-trace` if the generator changes).
-  std::ifstream in;
-  for (const char* path :
-       {"data/gnutella_small.trace", "../data/gnutella_small.trace",
-        "../../data/gnutella_small.trace"}) {
-    in.open(path);
-    if (in) break;
-    in.clear();
-  }
-  if (!in.is_open()) {  // is_open, not !in: clear() above resets failbit
-    GTEST_SKIP() << "golden trace not found (run from the repo root)";
-  }
+  // Opened by absolute path (tests/CMakeLists.txt passes the source
+  // directory), so the test runs from any build directory.
+  const std::string path =
+      std::string(MSPASTRY_SOURCE_DIR) + "/data/gnutella_small.trace";
+  std::ifstream in(path);
+  ASSERT_TRUE(in.is_open()) << "cannot open " << path;
   const auto t = ChurnTrace::load(in, "golden");
   EXPECT_EQ(t.session_count(), 51);
   EXPECT_EQ(t.events().size(), 81u);
