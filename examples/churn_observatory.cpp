@@ -5,9 +5,10 @@
 
 #include <cstdio>
 #include <memory>
+#include <unordered_map>
 
 #include "net/transit_stub.hpp"
-#include "overlay/driver.hpp"
+#include "overlay/sharded_driver.hpp"
 #include "trace/churn_generators.hpp"
 
 using namespace mspastry;
@@ -20,7 +21,7 @@ int main() {
   cfg.lookup_rate_per_node = 0.02;
   cfg.warmup = minutes(10);
   cfg.seed = 5;
-  overlay::OverlayDriver driver(topology, net::NetworkConfig{}, cfg);
+  overlay::ShardedDriver driver(topology, net::NetworkConfig{}, cfg, 1);
 
   // Two hours of Gnutella-like churn over ~150 nodes.
   const auto trace = trace::generate_synthetic(
@@ -30,11 +31,19 @@ int main() {
               trace.session_count(), pop.min_active, pop.max_active,
               to_seconds(trace.duration()) / 3600.0);
 
-  // Drive the trace manually so we can print a dashboard line every ten
-  // simulated minutes.
+  // Drive the trace manually — each churn event at its own instant — so
+  // we can print a dashboard line every ten simulated minutes.
   std::unordered_map<std::int32_t, net::Address> session;
-  for (const auto& e : trace.events()) {
-    driver.sim().schedule_at(e.time, [&driver, e, &session] {
+  const auto& events = trace.events();
+  std::size_t next = 0;
+  driver.start_workload();
+
+  std::printf(
+      "\n  time   active   mu(est)      Trt    leaf-health   RDP(mean)\n");
+  for (SimTime t = minutes(10); t <= trace.duration(); t += minutes(10)) {
+    for (; next < events.size() && events[next].time <= t; ++next) {
+      const auto& e = events[next];
+      driver.run_until(e.time);
       if (e.type == trace::ChurnEventType::kJoin) {
         session[e.node] = driver.add_node();
       } else if (const auto it = session.find(e.node);
@@ -42,13 +51,7 @@ int main() {
         driver.kill_node(it->second);
         session.erase(it);
       }
-    });
-  }
-  driver.start_workload();
-
-  std::printf(
-      "\n  time   active   mu(est)      Trt    leaf-health   RDP(mean)\n");
-  for (SimTime t = minutes(10); t <= trace.duration(); t += minutes(10)) {
+    }
     driver.run_until(t);
     // Sample one long-lived witness node.
     double mu = 0.0;

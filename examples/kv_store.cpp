@@ -7,10 +7,9 @@
 #include <memory>
 #include <string>
 
-#include "apps/app_mux.hpp"
 #include "apps/kv_store.hpp"
 #include "net/transit_stub.hpp"
-#include "overlay/driver.hpp"
+#include "overlay/sharded_driver.hpp"
 
 using namespace mspastry;
 
@@ -22,11 +21,9 @@ int main() {
   cfg.lookup_rate_per_node = 0.0;
   cfg.warmup = 0;
   cfg.seed = 2;
-  overlay::OverlayDriver driver(topology, net::NetworkConfig{}, cfg);
-
-  apps::AppMux mux(driver);
-  apps::KvStoreService kv(driver, /*replicas=*/4);
-  mux.attach(kv);
+  apps::KvStoreService kv(/*replicas=*/4);  // outlives the driver using it
+  overlay::ShardedDriver driver(topology, net::NetworkConfig{}, cfg, 1);
+  driver.attach_app(&kv);
   kv.enable_repair(minutes(2));  // PAST-like replica maintenance
 
   std::printf("building a 50-node overlay...\n");

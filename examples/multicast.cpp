@@ -7,10 +7,9 @@
 #include <memory>
 #include <set>
 
-#include "apps/app_mux.hpp"
 #include "apps/multicast.hpp"
 #include "net/transit_stub.hpp"
-#include "overlay/driver.hpp"
+#include "overlay/sharded_driver.hpp"
 
 using namespace mspastry;
 
@@ -22,11 +21,10 @@ int main() {
   cfg.lookup_rate_per_node = 0.0;
   cfg.warmup = 0;
   cfg.seed = 4;
-  overlay::OverlayDriver driver(topology, net::NetworkConfig{}, cfg);
+  apps::MulticastService mc;  // outlives the driver using it
+  overlay::ShardedDriver driver(topology, net::NetworkConfig{}, cfg, 1);
 
-  apps::AppMux mux(driver);
-  apps::MulticastService mc(driver);
-  mux.attach(mc);
+  driver.attach_app(&mc);
 
   std::printf("building a 60-node overlay...\n");
   for (int i = 0; i < 60; ++i) {

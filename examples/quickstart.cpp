@@ -2,13 +2,13 @@
 // network, route some lookups, and print what happened.
 //
 // This is the smallest end-to-end use of the public API:
-//   topology -> OverlayDriver -> add_node()/issue_lookup() -> metrics.
+//   topology -> ShardedDriver -> add_node()/issue_lookup() -> metrics.
 
 #include <cstdio>
 #include <memory>
 
 #include "net/transit_stub.hpp"
-#include "overlay/driver.hpp"
+#include "overlay/sharded_driver.hpp"
 
 using namespace mspastry;
 
@@ -23,7 +23,7 @@ int main() {
   cfg.warmup = 0;
   cfg.seed = 1;
 
-  overlay::OverlayDriver driver(topology, net::NetworkConfig{}, cfg);
+  overlay::ShardedDriver driver(topology, net::NetworkConfig{}, cfg, 1);
 
   // Bring up 64 nodes, pausing between joins so each completes.
   std::printf("joining 64 nodes...\n");

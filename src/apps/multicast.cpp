@@ -2,140 +2,149 @@
 
 namespace mspastry::apps {
 
+using AppNode = overlay::ShardedDriver::AppNode;
+
 namespace {
 std::uint64_t dedup_key(NodeId group, std::uint64_t msg_id) {
   return std::hash<NodeId>{}(group) ^ (msg_id * 0x9e3779b97f4a7c15ull);
 }
 }  // namespace
 
-void MulticastService::enable_auto_refresh(SimDuration interval) {
-  if (refresh_interval_ > 0) return;  // already running
-  refresh_interval_ = interval;
-  driver_.sim().schedule_after(interval, [this] { refresh_tick(); });
+void MulticastService::on_run_start(overlay::ShardedDriver& driver,
+                                    std::size_t shards) {
+  driver_ = &driver;
+  shards_.assign(shards, ShardState{});
 }
 
-void MulticastService::refresh_tick() {
-  driver_.sim().schedule_after(refresh_interval_, [this] { refresh_tick(); });
-  // Snapshot first: subscribing routes lookups, whose upcalls touch state_.
-  std::vector<std::pair<net::Address, NodeId>> memberships;
-  for (const auto& [addr, groups] : state_) {
-    if (driver_.node(addr) == nullptr) continue;  // session gone
-    for (const auto& [group, st] : groups) {
-      if (st.member) memberships.emplace_back(addr, group);
-    }
+MulticastService::Stats MulticastService::stats() const {
+  Stats total;
+  for (const ShardState& st : shards_) {
+    total.subscribes += st.stats.subscribes;
+    total.publishes += st.stats.publishes;
+    total.deliveries += st.stats.deliveries;
+    total.forwards += st.stats.forwards;
   }
-  for (const auto& [addr, group] : memberships) subscribe(addr, group);
+  return total;
 }
 
 void MulticastService::subscribe(net::Address member, NodeId group) {
-  ++stats_.subscribes;
-  state_[member][group].member = true;
-  auto data = pastry::make_msg<SubscribeData>(driver_.pool());
+  if (const auto node = driver_->app_node(member)) subscribe(*node, group);
+}
+
+void MulticastService::subscribe(const AppNode& node, NodeId group) {
+  ShardState& st = shards_[node.shard()];
+  ++st.stats.subscribes;
+  st.state[node.self()][group].member = true;
+  // A member's first subscription starts its soft-state refresh timer.
+  if (refresh_interval_ > 0 && st.refreshing.insert(node.self()).second) {
+    node.schedule(refresh_interval_, [this, node] { refresh_tick(node); });
+  }
+  auto data = pastry::make_msg<SubscribeData>(node.pool());
   data->group = group;
-  data->member = member;
-  driver_.issue_lookup(member, group, 0, data);
+  data->member = node.self();
+  node.issue_lookup(group, 0, data);
+}
+
+void MulticastService::refresh_tick(const AppNode& node) {
+  node.schedule(refresh_interval_, [this, node] { refresh_tick(node); });
+  // Snapshot first: subscribing routes lookups, whose upcalls touch state.
+  std::vector<NodeId> groups;
+  for (const auto& [group, gs] : shards_[node.shard()].state[node.self()]) {
+    if (gs.member) groups.push_back(group);
+  }
+  for (const NodeId group : groups) subscribe(node, group);
 }
 
 void MulticastService::publish(net::Address via, NodeId group,
                                std::uint64_t msg_id) {
-  ++stats_.publishes;
-  auto data = pastry::make_msg<PublishData>(driver_.pool());
+  const auto node = driver_->app_node(via);
+  if (!node) return;
+  ++shards_[node->shard()].stats.publishes;
+  auto data = pastry::make_msg<PublishData>(node->pool());
   data->group = group;
   data->msg_id = msg_id;
-  driver_.issue_lookup(via, group, msg_id, data);
+  node->issue_lookup(group, msg_id, data);
+}
+
+const MulticastService::GroupState* MulticastService::find(
+    net::Address node, NodeId group) const {
+  for (const ShardState& st : shards_) {
+    const auto nit = st.state.find(node);
+    if (nit == st.state.end()) continue;
+    const auto git = nit->second.find(group);
+    return git == nit->second.end() ? nullptr : &git->second;
+  }
+  return nullptr;
 }
 
 std::size_t MulticastService::children_of(net::Address node,
                                           NodeId group) const {
-  const auto nit = state_.find(node);
-  if (nit == state_.end()) return 0;
-  const auto git = nit->second.find(group);
-  return git == nit->second.end() ? 0 : git->second.children.size();
+  const GroupState* gs = find(node, group);
+  return gs == nullptr ? 0 : gs->children.size();
 }
 
 bool MulticastService::is_member(net::Address node, NodeId group) const {
-  const auto nit = state_.find(node);
-  if (nit == state_.end()) return false;
-  const auto git = nit->second.find(group);
-  return git != nit->second.end() && git->second.member;
+  const GroupState* gs = find(node, group);
+  return gs != nullptr && gs->member;
 }
 
-void MulticastService::splice(net::Address self, const SubscribeData& sub,
-                              net::Address child) {
-  auto& st = state_[self][sub.group];
-  if (child != net::kNullAddress && child != self) {
-    st.children.insert(child);
-  }
-}
-
-MulticastService::ForwardVerdict MulticastService::forward(
-    net::Address self, const pastry::LookupMsg& m,
-    const pastry::NodeDescriptor& /*next*/) {
-  auto sub = dynamic_pointer_cast<const SubscribeData>(m.app_data);
-  if (!sub) {
-    // Publish lookups are recognised but always continue to the root.
-    if (dynamic_pointer_cast<const PublishData>(m.app_data)) {
-      return {true, false};
-    }
-    return {};
-  }
+bool MulticastService::forward(const AppNode& node, const pastry::LookupMsg& m,
+                               const pastry::NodeDescriptor& /*next*/) {
+  // Publish lookups always continue to the root.
+  const auto* sub = dynamic_cast<const SubscribeData*>(m.app_data.get());
+  if (sub == nullptr) return false;
   // Origin hop: the member is routing its own subscribe; nothing to
   // splice yet (m.sender is stamped only on transmission).
-  if (!m.sender.valid() || m.sender.addr == self) {
-    return {true, false};
-  }
-  auto& st = state_[self][sub->group];
-  const bool was_in_tree = st.in_tree || st.member;
-  splice(self, *sub, m.sender.addr);
-  if (was_in_tree) {
-    // Already part of the tree: absorb the join here (Scribe).
-    return {true, true};
-  }
-  st.in_tree = true;  // this node now forwards for the group
-  return {true, false};
-}
-
-bool MulticastService::deliver(net::Address self, const pastry::LookupMsg& m) {
-  if (auto sub = dynamic_pointer_cast<const SubscribeData>(m.app_data)) {
-    auto& st = state_[self][sub->group];
-    st.in_tree = true;  // the rendezvous root anchors the tree
-    const net::Address child =
-        m.sender.valid() && m.sender.addr != self ? m.sender.addr
-                                                  : net::kNullAddress;
-    splice(self, *sub, child);
-    return true;
-  }
-  if (auto pub = dynamic_pointer_cast<const PublishData>(m.app_data)) {
-    disseminate(self, pub->group, pub->msg_id);
-    return true;
-  }
+  const net::Address self = node.self();
+  if (!m.sender.valid() || m.sender.addr == self) return false;
+  GroupState& gs = shards_[node.shard()].state[self][sub->group];
+  const bool was_in_tree = gs.in_tree || gs.member;
+  gs.children.insert(m.sender.addr);
+  if (was_in_tree) return true;  // already in the tree: absorb the join
+  gs.in_tree = true;  // this node now forwards for the group
   return false;
 }
 
-void MulticastService::disseminate(net::Address self, NodeId group,
-                                   std::uint64_t msg_id) {
-  auto& seen = seen_[self];
-  if (!seen.insert(dedup_key(group, msg_id)).second) return;
-  const auto& st = state_[self][group];
-  if (st.member) {
-    ++stats_.deliveries;
-    if (on_message) on_message(self, group, msg_id);
+void MulticastService::deliver(const AppNode& node,
+                               const pastry::LookupMsg& m) {
+  if (const auto* sub = dynamic_cast<const SubscribeData*>(m.app_data.get())) {
+    const net::Address self = node.self();
+    GroupState& gs = shards_[node.shard()].state[self][sub->group];
+    gs.in_tree = true;  // the rendezvous root anchors the tree
+    if (m.sender.valid() && m.sender.addr != self) {
+      gs.children.insert(m.sender.addr);
+    }
+    return;
   }
-  for (const net::Address child : st.children) {
-    auto data = pastry::make_msg<TreeData>(driver_.pool());
-    data->group = group;
-    data->msg_id = msg_id;
-    ++stats_.forwards;
-    driver_.send_app_packet(self, child, data);
+  if (const auto* pub = dynamic_cast<const PublishData*>(m.app_data.get())) {
+    disseminate(node, pub->group, pub->msg_id);
   }
 }
 
-bool MulticastService::packet(net::Address self, net::Address /*from*/,
+void MulticastService::disseminate(const AppNode& node, NodeId group,
+                                   std::uint64_t msg_id) {
+  ShardState& st = shards_[node.shard()];
+  const net::Address self = node.self();
+  if (!st.seen[self].insert(dedup_key(group, msg_id)).second) return;
+  const GroupState& gs = st.state[self][group];
+  if (gs.member) {
+    ++st.stats.deliveries;
+    if (on_message) on_message(self, group, msg_id);
+  }
+  for (const net::Address child : gs.children) {
+    auto data = pastry::make_msg<TreeData>(node.pool());
+    data->group = group;
+    data->msg_id = msg_id;
+    ++st.stats.forwards;
+    node.send_packet(child, data);
+  }
+}
+
+void MulticastService::packet(const AppNode& node, net::Address /*from*/,
                               const net::PacketPtr& p) {
-  auto tree = dynamic_pointer_cast<const TreeData>(p);
-  if (!tree) return false;
-  disseminate(self, tree->group, tree->msg_id);
-  return true;
+  if (const auto* tree = dynamic_cast<const TreeData*>(p.get())) {
+    disseminate(node, tree->group, tree->msg_id);
+  }
 }
 
 }  // namespace mspastry::apps

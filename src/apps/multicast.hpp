@@ -5,8 +5,9 @@
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
-#include "apps/app_mux.hpp"
+#include "overlay/sharded_driver.hpp"
 
 namespace mspastry::apps {
 
@@ -19,26 +20,29 @@ namespace mspastry::apps {
 ///
 /// Tree state is soft: members should re-subscribe periodically (as in
 /// Scribe) so the tree heals around failed forwarders.
-class MulticastService final : public Application {
+///
+/// Attach with ShardedDriver::attach_app. Tree state and counters are per
+/// shard; on_message runs on the member's shard.
+class MulticastService final : public overlay::ShardedApp {
  public:
-  explicit MulticastService(overlay::OverlayDriver& driver)
-      : driver_(driver) {}
 
   static NodeId group_id(const std::string& name) {
     return NodeId::hash_of("group:" + name);
   }
 
-  /// Subscribe the node at `member` to the group. Safe to call repeatedly
-  /// (soft-state refresh).
+  /// Subscribe the live node at `member` to the group (between runs).
+  /// Safe to call repeatedly (soft-state refresh).
   void subscribe(net::Address member, NodeId group);
 
   /// Enable Scribe's soft-state maintenance: every `interval`, each live
   /// member re-subscribes to each of its groups, healing tree edges that
-  /// broke when forwarders failed. Call once.
-  void enable_auto_refresh(SimDuration interval);
+  /// broke when forwarders failed. Call once, before subscribing.
+  void enable_auto_refresh(SimDuration interval) {
+    refresh_interval_ = interval;
+  }
 
-  /// Publish a message to the group from node `via`: routed to the
-  /// rendezvous root, then disseminated down the tree.
+  /// Publish a message to the group from live node `via` (between runs):
+  /// routed to the rendezvous root, then disseminated down the tree.
   void publish(net::Address via, NodeId group, std::uint64_t msg_id);
 
   /// Invoked once per (member, message) delivery.
@@ -51,31 +55,47 @@ class MulticastService final : public Application {
     std::uint64_t deliveries = 0;
     std::uint64_t forwards = 0;  ///< tree-edge transmissions
   };
-  const Stats& stats() const { return stats_; }
+  /// Summed over shards.
+  Stats stats() const;
 
   /// Tree introspection (tests): children of a node for a group.
   std::size_t children_of(net::Address node, NodeId group) const;
   bool is_member(net::Address node, NodeId group) const;
 
-  // Application interface ---------------------------------------------------
-  bool deliver(net::Address self, const pastry::LookupMsg& m) override;
-  ForwardVerdict forward(net::Address self, const pastry::LookupMsg& m,
-                         const pastry::NodeDescriptor& next) override;
-  bool packet(net::Address self, net::Address from,
+  // ShardedApp --------------------------------------------------------------
+  void on_run_start(overlay::ShardedDriver& driver,
+                    std::size_t shards) override;
+  double workload_rate(SimTime) const override { return 0.0; }
+  void workload_tick(const overlay::ShardedDriver::AppNode&) override {}
+  void deliver(const overlay::ShardedDriver::AppNode& node,
+               const pastry::LookupMsg& m) override;
+  bool forward(const overlay::ShardedDriver::AppNode& node,
+               const pastry::LookupMsg& m,
+               const pastry::NodeDescriptor& next) override;
+  void packet(const overlay::ShardedDriver::AppNode& node, net::Address from,
               const net::PacketPtr& p) override;
 
  private:
-  struct SubscribeData final : net::Packet {
+  struct SubscribeData final : pastry::CloneableAppData {
     NodeId group;
     net::Address member = net::kNullAddress;
+    net::PacketPtr clone_into(pastry::MessagePool& pool) const override {
+      return pool.make<SubscribeData>(*this);
+    }
   };
-  struct PublishData final : net::Packet {
+  struct PublishData final : pastry::CloneableAppData {
     NodeId group;
     std::uint64_t msg_id = 0;
+    net::PacketPtr clone_into(pastry::MessagePool& pool) const override {
+      return pool.make<PublishData>(*this);
+    }
   };
-  struct TreeData final : net::Packet {
+  struct TreeData final : pastry::CloneableAppData {
     NodeId group;
     std::uint64_t msg_id = 0;
+    net::PacketPtr clone_into(pastry::MessagePool& pool) const override {
+      return pool.make<TreeData>(*this);
+    }
   };
 
   struct GroupState {
@@ -84,22 +104,25 @@ class MulticastService final : public Application {
     bool in_tree = false;  ///< this node forwards for the group
   };
 
-  void splice(net::Address self, const SubscribeData& sub,
-              net::Address child);
-  void disseminate(net::Address self, NodeId group, std::uint64_t msg_id);
+  struct ShardState {
+    /// Per-node, per-group forwarding state.
+    std::unordered_map<net::Address, std::unordered_map<NodeId, GroupState>>
+        state;
+    /// Per-node duplicate suppression: (group, msg) pairs already seen.
+    std::unordered_map<net::Address, std::unordered_set<std::uint64_t>> seen;
+    std::unordered_set<net::Address> refreshing;  ///< members with a timer
+    Stats stats;
+  };
 
-  void refresh_tick();
+  void subscribe(const overlay::ShardedDriver::AppNode& node, NodeId group);
+  void disseminate(const overlay::ShardedDriver::AppNode& node, NodeId group,
+                   std::uint64_t msg_id);
+  void refresh_tick(const overlay::ShardedDriver::AppNode& node);
+  const GroupState* find(net::Address node, NodeId group) const;
 
-  overlay::OverlayDriver& driver_;
-  Stats stats_;
+  overlay::ShardedDriver* driver_ = nullptr;
   SimDuration refresh_interval_ = 0;  // 0 = auto-refresh off
-  /// Per-node, per-group forwarding state.
-  std::unordered_map<net::Address, std::unordered_map<NodeId, GroupState>>
-      state_;
-  /// Per-node duplicate suppression: (group, msg) pairs already seen.
-  std::unordered_map<net::Address,
-                     std::unordered_set<std::uint64_t>>
-      seen_;
+  std::vector<ShardState> shards_;
 };
 
 }  // namespace mspastry::apps

@@ -3,8 +3,9 @@
 #include <cstdint>
 #include <functional>
 #include <unordered_map>
+#include <vector>
 
-#include "apps/app_mux.hpp"
+#include "overlay/sharded_driver.hpp"
 
 namespace mspastry::apps {
 
@@ -13,7 +14,10 @@ namespace mspastry::apps {
 /// requester retransmits a lookup until the key's root acknowledges it
 /// directly, surviving even the rare losses that per-hop recovery misses
 /// (e.g. a lookup buffered at a node that dies mid-join).
-class ReliableLookupService final : public Application {
+///
+/// Attach with ShardedDriver::attach_app. Pending requests and counters
+/// are per shard; callbacks run on the requester's shard.
+class ReliableLookupService final : public overlay::ShardedApp {
  public:
   struct Params {
     /// Retransmission interval (end-to-end, so much coarser than the
@@ -22,14 +26,14 @@ class ReliableLookupService final : public Application {
     int max_retries = 5;
   };
 
-  ReliableLookupService(overlay::OverlayDriver& driver, Params params)
-      : driver_(driver), params_(params) {}
-  explicit ReliableLookupService(overlay::OverlayDriver& driver)
-      : ReliableLookupService(driver, Params{}) {}
+  ReliableLookupService();
+  explicit ReliableLookupService(Params params) : params_(params) {}
 
-  /// done(ok, root_address): ok is false after the retry budget runs out.
+  /// done(ok, root_address): ok is false after the retry budget runs out
+  /// or when the requester dies first.
   using Callback = std::function<void(bool ok, net::Address root)>;
 
+  /// Look `key` up from live node `via` (between runs).
   std::uint64_t lookup(net::Address via, NodeId key, Callback done = {});
 
   struct Stats {
@@ -38,20 +42,33 @@ class ReliableLookupService final : public Application {
     std::uint64_t retransmissions = 0;
     std::uint64_t failures = 0;
   };
-  const Stats& stats() const { return stats_; }
+  /// Summed over shards.
+  Stats stats() const;
 
-  // Application interface --------------------------------------------------
-  bool deliver(net::Address self, const pastry::LookupMsg& m) override;
-  bool packet(net::Address self, net::Address from,
+  // ShardedApp --------------------------------------------------------------
+  void on_run_start(overlay::ShardedDriver& driver,
+                    std::size_t shards) override;
+  double workload_rate(SimTime) const override { return 0.0; }
+  void workload_tick(const overlay::ShardedDriver::AppNode&) override {}
+  void deliver(const overlay::ShardedDriver::AppNode& node,
+               const pastry::LookupMsg& m) override;
+  void packet(const overlay::ShardedDriver::AppNode& node, net::Address from,
               const net::PacketPtr& p) override;
+  void node_down(const overlay::ShardedDriver::AppNode& node) override;
 
  private:
-  struct RequestData final : net::Packet {
+  struct RequestData final : pastry::CloneableAppData {
     std::uint64_t op = 0;
     net::Address requester = net::kNullAddress;
+    net::PacketPtr clone_into(pastry::MessagePool& pool) const override {
+      return pool.make<RequestData>(*this);
+    }
   };
-  struct E2eAck final : net::Packet {
+  struct E2eAck final : pastry::CloneableAppData {
     std::uint64_t op = 0;
+    net::PacketPtr clone_into(pastry::MessagePool& pool) const override {
+      return pool.make<E2eAck>(*this);
+    }
   };
 
   struct Pending {
@@ -59,17 +76,23 @@ class ReliableLookupService final : public Application {
     NodeId key;
     int retries = 0;
     Callback done;
-    TimerId timer = kInvalidTimer;
   };
 
-  void transmit(std::uint64_t op);
-  void on_timeout(std::uint64_t op);
+  struct ShardState {
+    std::unordered_map<std::uint64_t, Pending> pending;  ///< by op
+    Stats stats;
+  };
 
-  overlay::OverlayDriver& driver_;
+  void transmit(const overlay::ShardedDriver::AppNode& node,
+                std::uint64_t op);
+  void on_timeout(const overlay::ShardedDriver::AppNode& node,
+                  std::uint64_t op);
+  void fail(ShardState& st, std::uint64_t op);
+
+  overlay::ShardedDriver* driver_ = nullptr;
   Params params_;
-  Stats stats_;
-  std::uint64_t next_op_ = 1;
-  std::unordered_map<std::uint64_t, Pending> pending_;
+  std::uint64_t next_op_ = 1;  ///< lookup() runs between runs, in order
+  std::vector<ShardState> shards_;
 };
 
 }  // namespace mspastry::apps

@@ -98,7 +98,7 @@ class ChordDriver {
   void schedule_next_workload_lookup();
 
   /// Before sim_: destroyed last, after queued callbacks drop their
-  /// in-flight message references (see OverlayDriver).
+  /// in-flight message references.
   pastry::MessagePool pool_;
   Simulator sim_;
   std::shared_ptr<const net::Topology> topology_;

@@ -26,9 +26,9 @@ enum class FaultKind : std::uint8_t {
   kReorder,
   kStall,
   /// Not a fault-plan rule: counted when an adversarial overlay node
-  /// devours a packet it pretended to forward (Network::devour). Lives in
-  /// this enum so the injection observer and per-kind counters cover all
-  /// injected packet mischief uniformly.
+  /// devours a packet it pretended to forward (pastry::Env::devour). Lives
+  /// in this enum so the per-kind injection counters cover all injected
+  /// packet mischief uniformly.
   kAdversarialDrop,
 };
 inline constexpr std::size_t kFaultKindCount = 8;

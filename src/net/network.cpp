@@ -52,19 +52,6 @@ SimDuration Network::delay(Address a, Address b) const {
          2 * config_.lan_delay;
 }
 
-void Network::partition(const std::vector<Address>& group) {
-  heal();
-  partition_rule_ =
-      faults_.add(FaultRule::partition(LinkMatcher::cross(group), sim_.now()));
-}
-
-void Network::heal() {
-  if (partition_rule_ != FaultPlan::kNoRule) {
-    faults_.remove(partition_rule_);
-    partition_rule_ = FaultPlan::kNoRule;
-  }
-}
-
 void Network::send(Address from, Address to, PacketPtr packet) {
   assert(packet != nullptr);
   ++sent_;
@@ -72,10 +59,8 @@ void Network::send(Address from, Address to, PacketPtr packet) {
   const PacketFate fate =
       packet_fate(faults_, config_, seed_, now, from, to,
                   endpoints_[from].send_seq++, delay(from, to));
-  notify_injections(fate.injected);
   if (fate.drop) {
     ++lost_;
-    notify_drop(from, to, packet, fate.drop_kind);
     return;
   }
   const SimDuration after = (fate.depart - now) + fate.delay;
@@ -95,15 +80,6 @@ void Network::send(Address from, Address to, PacketPtr packet) {
   }
 }
 
-void Network::devour(Address from, Address to, PacketPtr packet) {
-  assert(packet != nullptr);
-  // The pretend transmission occupies the identity like a real one.
-  ++sent_;
-  ++dropped_adversarial_;
-  notify_injections(fault_bit(FaultKind::kAdversarialDrop));
-  notify_drop(from, to, packet, DropKind::kAdversary);
-}
-
 void Network::schedule_delivery(SimDuration after, Address from, Address to,
                                 PacketPtr packet) {
   ++in_flight_;
@@ -121,7 +97,6 @@ void Network::deliver(Address from, Address to, PacketPtr packet) {
   // increment/decrement pair for every buffered packet.
   const SimTime release = faults_.stall_release(sim_.now(), to);
   if (release > sim_.now()) {
-    notify_injections(fault_bit(FaultKind::kStall));
     sim_.schedule_at(release,
                      [this, from, to, p = std::move(packet)]() mutable {
                        deliver(from, to, std::move(p));
@@ -132,7 +107,6 @@ void Network::deliver(Address from, Address to, PacketPtr packet) {
   Endpoint& ep = endpoints_[to];
   if (!ep.handler) {
     ++dropped_unbound_;  // endpoint is gone: packet is lost on arrival
-    notify_drop(from, to, packet, DropKind::kUnbound);
     return;
   }
   ++delivered_;

@@ -46,7 +46,7 @@ enum class EventKind : std::uint8_t {
   kJoinProbe,      ///< pre-activation leaf-set probe (probes-before-activate)
   kActivated,      ///< node became active
 
-  // --- Wire-level (recorded by the driver's drop observer) --------------
+  // --- Wire-level (recorded by the driver on the sender's ring) ----------
   kNetDrop,        ///< the network dropped a traced packet in flight
   kAdversaryDrop,  ///< an adversarial sender devoured a traced packet
 };

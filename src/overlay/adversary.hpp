@@ -1,14 +1,10 @@
 #pragma once
 
-#include <memory>
+#include <cstdint>
 #include <optional>
-#include <string>
 #include <string_view>
-#include <unordered_map>
-#include <vector>
 
-#include "common/rng.hpp"
-#include "overlay/driver.hpp"
+#include "net/network.hpp"
 #include "pastry/adversary.hpp"
 
 namespace mspastry::overlay {
@@ -32,8 +28,8 @@ std::optional<AdversaryBehavior> behavior_from_name(std::string_view name);
 /// reproducible from the scenario seed and independent of honest-path
 /// RNG draws. The per-node intercept sequence is itself
 /// shard-count-invariant (a node's local event order never depends on
-/// the partition), so under the ShardedDriver the corruption schedule is
-/// byte-identical at any shard count.
+/// the partition), so the corruption schedule is byte-identical at any
+/// shard count.
 class KeyedAdversary final : public pastry::AdversaryPolicy {
  public:
   KeyedAdversary(AdversaryBehavior behavior, double strike,
@@ -58,62 +54,6 @@ class KeyedAdversary final : public pastry::AdversaryPolicy {
   std::uint64_t seed_;
   std::uint64_t self_;
   std::uint64_t seq_ = 0;
-};
-
-/// Owns the adversarial population of one driver run: installs policies
-/// on existing nodes (a corrupted fraction f) or joins sybil nodes whose
-/// ids cluster around a victim key (an eclipse attack). The controller
-/// must outlive its use of the driver's nodes within a run; disarm() or
-/// destruction detaches every surviving policy.
-class AdversaryController {
- public:
-  AdversaryController(OverlayDriver& driver, AdversaryBehavior behavior,
-                      double strike, std::uint64_t seed)
-      : driver_(driver), behavior_(behavior), strike_(strike), seed_(seed) {}
-  ~AdversaryController() { disarm(); }
-
-  AdversaryController(const AdversaryController&) = delete;
-  AdversaryController& operator=(const AdversaryController&) = delete;
-
-  /// Corrupt a deterministic pseudo-random `fraction` of the currently
-  /// live nodes. Returns the addresses corrupted (sorted).
-  std::vector<net::Address> corrupt_fraction(double fraction);
-
-  /// Install a policy on one specific node (no-op if dead or already
-  /// corrupted).
-  void corrupt(net::Address a);
-
-  /// Join `count` sybil nodes whose ids alternate tightly around the
-  /// victim key (far denser than honest id spacing), running the driver
-  /// `join_gap` per join so each completes the normal join protocol.
-  /// Returns the sybil addresses in join order.
-  std::vector<net::Address> join_eclipse_cluster(NodeId victim, int count,
-                                                 SimDuration join_gap);
-
-  /// Heal: detach every policy; corrupted nodes act honest again.
-  void disarm();
-
-  /// Heal an eclipse: crash every sybil this controller joined (and drop
-  /// their policies).
-  void kill_sybils();
-
-  bool is_adversarial(net::Address a) const {
-    return policies_.count(a) > 0;
-  }
-  std::size_t count() const { return policies_.size(); }
-  const std::vector<net::Address>& sybils() const { return sybils_; }
-
-  /// Deterministic one-line dump for run headers and schedule logs.
-  std::string describe() const;
-
- private:
-  OverlayDriver& driver_;
-  AdversaryBehavior behavior_;
-  double strike_;
-  std::uint64_t seed_;
-  std::unordered_map<net::Address, std::unique_ptr<KeyedAdversary>>
-      policies_;
-  std::vector<net::Address> sybils_;
 };
 
 }  // namespace mspastry::overlay

@@ -61,6 +61,23 @@ std::uint64_t mix_seed(std::uint64_t seed, const std::string& name) {
   return h;
 }
 
+/// Deterministic one-line dump of an armed population for run headers.
+std::string describe_adversary(const ShardedAdversaryConfig& adv,
+                               const std::vector<net::Address>& nodes,
+                               std::size_t sybils) {
+  char buf[96];
+  std::snprintf(buf, sizeof buf, "adversary behavior=%s strike=%.2f nodes=[",
+                to_string(adv.behavior), adv.strike);
+  std::string out = buf;
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    if (i > 0) out += ',';
+    out += std::to_string(nodes[i]);
+  }
+  out += "] sybils=";
+  out += std::to_string(sybils);
+  return out;
+}
+
 }  // namespace
 
 ChaosHarness::ChaosHarness(std::shared_ptr<const net::Topology> topology,
@@ -90,26 +107,10 @@ void ChaosHarness::build_overlay(std::uint64_t seed, bool harden) {
   dcfg.warmup = 0;
   dcfg.seed = seed;
   dcfg.obs = cfg_.obs;
-  driver_ = std::make_unique<OverlayDriver>(topology_, net::NetworkConfig{},
-                                            dcfg);
+  driver_ = std::make_unique<ShardedDriver>(topology_, net::NetworkConfig{},
+                                            dcfg, cfg_.shards);
   probes_.clear();
-  adv_ = nullptr;
-  driver_->on_app_deliver = [this](net::Address self,
-                                   const pastry::LookupMsg& m) {
-    // First-correct-wins, mirroring Metrics: a misdelivered probe is
-    // upgraded if any later copy (diverse-path redundancy, duplication
-    // faults) lands at the true root.
-    const auto it = probes_.find(m.lookup_id);
-    if (it == probes_.end() || (it->second.delivered && it->second.correct)) {
-      return;
-    }
-    const auto root = driver_->oracle().root_of(m.key);
-    const bool correct = root && *root == self;
-    if (!it->second.delivered || correct) {
-      it->second.delivered = true;
-      it->second.correct = correct;
-    }
-  };
+  adversary_armed_ = false;
   for (int i = 0; i < cfg_.nodes; ++i) {
     driver_->add_node();
     driver_->run_for(seconds(2));
@@ -120,39 +121,39 @@ void ChaosHarness::build_overlay(std::uint64_t seed, bool harden) {
 
 void ChaosHarness::issue_probe(int phase, const NodeId* key) {
   auto src = driver_->oracle().random_active(driver_->rng());
-  for (int tries = 0; adv_ != nullptr && src &&
-                      adv_->is_adversarial(src->second) && tries < 64;
+  for (int tries = 0; adversary_armed_ && src &&
+                      driver_->session_is_adversarial(src->second) &&
+                      tries < 64;
        ++tries) {
     src = driver_->oracle().random_active(driver_->rng());
   }
   if (!src || driver_->node(src->second) == nullptr) return;
-  if (adv_ != nullptr && adv_->is_adversarial(src->second)) return;
+  if (adversary_armed_ && driver_->session_is_adversarial(src->second)) {
+    return;
+  }
   NodeId k = key != nullptr ? *key : driver_->rng().node_id();
-  if (key == nullptr && adv_ != nullptr) {
+  if (key == nullptr && adversary_armed_) {
     // Honest-rooted keys only: a key the adversary legitimately owns
     // proves nothing about whether honest nodes can still serve theirs.
     for (int tries = 0; tries < 64; ++tries) {
       const auto root = driver_->oracle().root_of(k);
-      if (root && !adv_->is_adversarial(*root)) break;
+      if (root && !driver_->session_is_adversarial(*root)) break;
       k = driver_->rng().node_id();
     }
     const auto root = driver_->oracle().root_of(k);
-    if (!root || adv_->is_adversarial(*root)) return;
+    if (!root || driver_->session_is_adversarial(*root)) return;
   }
-  // Register before issuing: when the source is itself the root, the
-  // delivery callback fires synchronously inside issue_lookup, and a
-  // probe registered afterwards would be scored lost forever.
-  const std::uint64_t id = driver_->next_lookup_id();
-  probes_.emplace(id, ProbeOutcome{phase, k, false, false});
-  driver_->issue_lookup(src->second, k);
+  const std::uint64_t id = driver_->issue_lookup(src->second, k);
+  driver_->track_lookup(id);
+  probes_.emplace(id, Probe{phase, k});
 }
 
 void ChaosHarness::probe_until(SimTime until, int phase, const NodeId* key) {
-  while (driver_->sim().now() + cfg_.probe_interval <= until) {
+  while (driver_->now() + cfg_.probe_interval <= until) {
     issue_probe(phase, key);
     driver_->run_for(cfg_.probe_interval);
   }
-  if (driver_->sim().now() < until) {
+  if (driver_->now() < until) {
     driver_->run_until(until);
   }
 }
@@ -168,22 +169,15 @@ bool ChaosHarness::ring_consistent() const {
 double ChaosHarness::measure_reconvergence(SimTime heal_at,
                                            SimDuration budget) {
   const std::size_t expected = static_cast<std::size_t>(cfg_.nodes);
-  SimTime converged_at = kTimeNever;
-  // Sample the invariant once a second; coarser chunks drive the clock.
-  PeriodicTask poll(driver_->sim(), seconds(1), [this, expected,
-                                                &converged_at] {
-    if (converged_at != kTimeNever) return;
-    if (driver_->oracle().active_count() >= expected && ring_consistent()) {
-      converged_at = driver_->sim().now();
-    }
-  });
+  // Sample the invariant once a second.
   const SimTime deadline = heal_at + budget;
-  while (driver_->sim().now() < deadline && converged_at == kTimeNever) {
-    driver_->run_for(seconds(5));
+  while (driver_->now() < deadline) {
+    driver_->run_for(seconds(1));
+    if (driver_->oracle().active_count() >= expected && ring_consistent()) {
+      return to_seconds(driver_->now() - heal_at);
+    }
   }
-  poll.stop();
-  if (converged_at == kTimeNever) return -1.0;
-  return to_seconds(converged_at - heal_at);
+  return -1.0;
 }
 
 std::vector<net::FaultRule> ChaosHarness::make_schedule(
@@ -354,8 +348,6 @@ ChaosResult ChaosHarness::run(const std::string& scenario) {
   build_overlay(mix_seed(cfg_.seed, scenario), adversarial);
   Rng schedule_rng(mix_seed(cfg_.seed, scenario + "/schedule"));
 
-  net::Network& net = driver_->network();
-
   net::Address victim = net::kNullAddress;
   NodeId victim_key;
   if (kind == Scenario::kFlap || kind == Scenario::kGrayStall ||
@@ -367,28 +359,38 @@ ChaosResult ChaosHarness::run(const std::string& scenario) {
 
   // Arm the adversary before the fault window opens, so eclipse sybils
   // finish their (honest-protocol) joins before probing starts.
-  std::unique_ptr<AdversaryController> adv;
   if (adversarial) {
-    const AdversaryBehavior behavior = kind == Scenario::kByzantineDrop
-                                           ? AdversaryBehavior::kDrop
-                                           : AdversaryBehavior::kMisroute;
-    adv = std::make_unique<AdversaryController>(
-        *driver_, behavior, 1.0,
-        mix_seed(cfg_.seed, scenario + "/adversary"));
+    ShardedAdversaryConfig adv;
+    adv.behavior = kind == Scenario::kByzantineDrop
+                       ? AdversaryBehavior::kDrop
+                       : AdversaryBehavior::kMisroute;
+    adv.strike = 1.0;
+    adv.seed = mix_seed(cfg_.seed, scenario + "/adversary");
     if (kind == Scenario::kEclipse) {
-      adv->join_eclipse_cluster(victim_key, cfg_.eclipse_sybils, seconds(2));
-      driver_->run_for(seconds(30));  // let the cluster settle in
+      adv.eclipse_sybils = cfg_.eclipse_sybils;
+      adv.eclipse_victim = victim_key;
     } else {
-      adv->corrupt_fraction(cfg_.adversary_fraction);
+      adv.fraction = cfg_.adversary_fraction;
     }
-    adv_ = adv.get();
-    res.adversarial_nodes = adv->count();
-    res.adversary_description = adv->describe();
-    LOG_INFO(driver_->sim().now(), "chaos", "%s",
+    driver_->set_adversary(adv);
+    if (kind == Scenario::kEclipse) {
+      // The sybils join at once; give them the time staggered joins
+      // would take, then let the cluster settle in.
+      driver_->run_for(seconds(2) * cfg_.eclipse_sybils + seconds(30));
+    }
+    adversary_armed_ = true;
+    std::vector<net::Address> corrupt;
+    for (const net::Address a : driver_->live_addresses()) {
+      if (driver_->session_is_adversarial(a)) corrupt.push_back(a);
+    }
+    res.adversarial_nodes = corrupt.size();
+    res.adversary_description =
+        describe_adversary(adv, corrupt, driver_->sybil_addresses().size());
+    LOG_INFO(driver_->now(), "chaos", "%s",
              res.adversary_description.c_str());
   }
 
-  const SimTime t0 = driver_->sim().now();
+  const SimTime t0 = driver_->now();
   const SimTime t1 =
       kind == Scenario::kGrayStall ? t0 + cfg_.stall_window
                                    : t0 + cfg_.fault_window;
@@ -396,9 +398,9 @@ ChaosResult ChaosHarness::run(const std::string& scenario) {
   std::vector<net::Address> minority;
   for (auto& rule :
        make_schedule(scenario, t0, t1, victim, &minority, schedule_rng)) {
-    net.faults().add(std::move(rule));
+    driver_->add_fault_rule(rule);
   }
-  res.fault_schedule = net.faults().describe();
+  res.fault_schedule = driver_->fault_plan().describe();
   LOG_INFO(t0, "chaos", "scenario %s schedule:\n%s", scenario.c_str(),
            res.fault_schedule.c_str());
 
@@ -409,7 +411,7 @@ ChaosResult ChaosHarness::run(const std::string& scenario) {
     // peers' verdicts just before the stall releases.
     const SimTime check_at = t1 - milliseconds(500);
     int i = 0;
-    while (driver_->sim().now() + cfg_.probe_interval <= check_at) {
+    while (driver_->now() + cfg_.probe_interval <= check_at) {
       const bool at_victim = (i++ % 2 == 0);
       issue_probe(at_victim ? kDiagPhase : kFaultPhase,
                   at_victim ? &victim_key : nullptr);
@@ -427,7 +429,7 @@ ChaosResult ChaosHarness::run(const std::string& scenario) {
     // Alternate probes for the eclipsed victim's own key (the attack
     // target) with uniform honest-rooted probes (collateral damage).
     int i = 0;
-    while (driver_->sim().now() + cfg_.probe_interval <= t1) {
+    while (driver_->now() + cfg_.probe_interval <= t1) {
       const bool at_victim = (i++ % 2 == 0);
       issue_probe(kFaultPhase, at_victim ? &victim_key : nullptr);
       driver_->run_for(cfg_.probe_interval);
@@ -442,11 +444,13 @@ ChaosResult ChaosHarness::run(const std::string& scenario) {
   // partitions condemn both sides, so the minority rejoins through the
   // bootstrap service (the operational recovery path DESIGN.md
   // documents).
-  const SimTime heal_at = driver_->sim().now();
-  if (adv != nullptr) {
-    if (kind == Scenario::kEclipse) adv->kill_sybils();
-    adv->disarm();
-    adv_ = nullptr;
+  const SimTime heal_at = driver_->now();
+  if (adversarial) {
+    for (const net::Address a : driver_->sybil_addresses()) {
+      driver_->kill_node(a);
+    }
+    driver_->clear_adversary();
+    adversary_armed_ = false;
   }
   if (kind == Scenario::kAsymPartition) {
     for (const net::Address a : minority) driver_->kill_node(a);
@@ -473,17 +477,8 @@ ChaosResult ChaosHarness::run(const std::string& scenario) {
     driver_->run_for(cfg_.probe_interval);
   }
   driver_->run_for(seconds(30));  // let stragglers land
-
-  if (gray && driver_->node(victim) != nullptr) {
-    // Recovered = a post-heal lookup for the victim's key reached it.
-    for (const auto& [id, p] : probes_) {
-      (void)id;
-      if (p.phase == kHealPhase && p.key == victim_key && p.delivered &&
-          p.correct) {
-        res.stall_recovered = true;
-      }
-    }
-  }
+  const bool victim_alive = driver_->node(victim) != nullptr;
+  driver_->finish();
 
   // --- Collect and judge --------------------------------------------------
   for (std::size_t k = 0; k < net::kFaultKindCount; ++k) {
@@ -491,29 +486,36 @@ ChaosResult ChaosHarness::run(const std::string& scenario) {
         driver_->metrics().fault_injections(static_cast<net::FaultKind>(k));
   }
   for (const auto& [id, p] : probes_) {
-    (void)id;
+    const std::optional<bool> v = driver_->lookup_verdict(id);
     if (p.phase == kFaultPhase) {
       ++res.fault_issued;
-      if (p.delivered) ++res.fault_delivered;
-      if (p.delivered && !p.correct) ++res.fault_incorrect;
+      if (v) ++res.fault_delivered;
+      if (v && !*v) ++res.fault_incorrect;
     } else if (p.phase == kHealPhase) {
       ++res.heal_issued;
-      if (p.delivered) ++res.heal_delivered;
-      if (p.delivered && !p.correct) ++res.heal_incorrect;
+      if (v) ++res.heal_delivered;
+      if (v && !*v) ++res.heal_incorrect;
+      // Gray stall: recovered = a post-heal lookup for the victim's key
+      // reached it.
+      if (gray && victim_alive && p.key == victim_key && v && *v) {
+        res.stall_recovered = true;
+      }
     }
   }
-  res.false_positives = driver_->counters().false_positives;
-  const pastry::Counters& pc = driver_->counters();
+  const pastry::Counters pc = driver_->counters();
+  res.false_positives = pc.false_positives;
   res.adversary_drops = pc.lookups_dropped_adversarial;
   res.adversary_misroutes = pc.lookups_misrouted_adversarial;
   res.replies_corrupted = pc.ls_replies_corrupted + pc.nn_replies_corrupted;
   res.leaf_rejections = pc.leaf_candidates_rejected;
   res.redundant_copies = pc.redundant_lookup_copies;
   res.accounting_ok =
-      net.packets_sent() == net.packets_lost() + net.packets_delivered() +
-                                net.packets_dropped_unbound() +
-                                net.packets_dropped_adversarial() +
-                                net.packets_in_flight();
+      static_cast<std::int64_t>(driver_->packets_sent()) ==
+      static_cast<std::int64_t>(driver_->packets_lost() +
+                                driver_->packets_delivered() +
+                                driver_->packets_dropped_unbound() +
+                                driver_->packets_dropped_adversarial()) +
+          driver_->packets_in_flight();
 
   char buf[160];
   const ChaosSlo& slo = cfg_.slo;
@@ -605,7 +607,7 @@ void ChaosHarness::attach_observability(ChaosResult& res) {
   std::vector<std::uint64_t> failed_ids;
   for (const auto& [id, p] : probes_) {
     if (p.phase == kDiagPhase) continue;
-    if (p.delivered && p.correct) continue;
+    if (driver_->lookup_verdict(id).value_or(false)) continue;
     failed_ids.push_back(id);
   }
   std::sort(failed_ids.begin(), failed_ids.end());
@@ -620,7 +622,7 @@ void ChaosHarness::attach_observability(ChaosResult& res) {
     res.trace_dump_path =
         cfg_.trace_dump_prefix + res.scenario + ".trace.jsonl";
     if (!obs::write_trace_dump_file(*domain, res.trace_dump_path)) {
-      LOG_WARN(driver_->sim().now(), "chaos", "cannot write trace dump %s",
+      LOG_WARN(driver_->now(), "chaos", "cannot write trace dump %s",
                res.trace_dump_path.c_str());
       res.trace_dump_path.clear();
     }

@@ -8,8 +8,7 @@
 
 #include "net/fault_plan.hpp"
 #include "net/topology.hpp"
-#include "overlay/adversary.hpp"
-#include "overlay/driver.hpp"
+#include "overlay/sharded_driver.hpp"
 
 namespace mspastry::overlay {
 
@@ -37,6 +36,9 @@ struct ChaosSlo {
 struct ChaosConfig {
   int nodes = 40;
   std::uint64_t seed = 7;
+  /// Engine shards. Every scenario is shard-count-invariant: any count
+  /// prints the same results.
+  std::size_t shards = 1;
 
   /// Background Poisson lookup workload (drives suppression and RTO
   /// estimators the way real traffic would).
@@ -183,11 +185,10 @@ class ChaosHarness {
   ChaosResult run(const std::string& scenario);
 
  private:
-  struct ProbeOutcome {
+  /// A tracked probe; its outcome is the driver's delivery verdict.
+  struct Probe {
     int phase = 0;
     NodeId key;
-    bool delivered = false;
-    bool correct = false;
   };
 
   void build_overlay(std::uint64_t seed, bool harden);
@@ -205,14 +206,14 @@ class ChaosHarness {
 
   std::shared_ptr<const net::Topology> topology_;
   ChaosConfig cfg_;
-  std::unique_ptr<OverlayDriver> driver_;
-  std::unordered_map<std::uint64_t, ProbeOutcome> probes_;
+  std::unique_ptr<ShardedDriver> driver_;
+  std::unordered_map<std::uint64_t, Probe> probes_;
 
   /// Set while an adversary scenario's population is armed: probe
   /// sampling then rejects adversarial sources and adversarially-rooted
   /// keys (the secure-routing measurement convention — a lookup "from"
   /// or "for" the adversary proves nothing about honest service).
-  const AdversaryController* adv_ = nullptr;
+  bool adversary_armed_ = false;
 };
 
 }  // namespace mspastry::overlay

@@ -75,15 +75,14 @@ void add_counters(pastry::Counters& into, const pastry::Counters& c) {
 
 }  // namespace
 
-/// Per-node Env for the sharded driver. Differences from the
-/// single-threaded OverlayDriver::NodeEnv, all in service of
-/// shard-count-invariance:
+/// Per-node Env. Everything in service of shard-count-invariance:
 ///  - the node draws from its *own* RNG stream (seeded from the trial
 ///    seed and the session uid), never a shared driver stream;
 ///  - global bookkeeping upcalls append deferred-ledger events instead of
 ///    mutating the oracle/metrics directly;
 ///  - bootstrap candidates come from the ledger oracle's last-barrier
-///    snapshot (safe to read concurrently: it only mutates at barriers).
+///    snapshot (safe to read concurrently: it only mutates at barriers);
+///  - timers are liveness-guarded, so none fires into a destroyed node.
 class ShardedDriver::ShardEnv final : public pastry::Env {
  public:
   ShardEnv(ShardedDriver& d, std::size_t shard, std::uint32_t uid,
@@ -103,7 +102,7 @@ class ShardedDriver::ShardEnv final : public pastry::Env {
 
   /// The per-sender packet sequence keying the packet-fate draws (loss,
   /// jitter, fault rules) and the dither; app packets and overlay
-  /// messages share one stream, like an endpoint's sends in net::Network.
+  /// messages share one stream.
   std::uint64_t next_send_seq() { return send_seq_++; }
 
   SimTime now() const override { return d_.engine_.shard(shard_).now(); }
@@ -157,12 +156,21 @@ class ShardedDriver::ShardEnv final : public pastry::Env {
     e.a = m.source.addr;
     e.b = self_.addr;
     e.u = m.lookup_id;
+    e.flag = m.trace_id != 0;
     log(std::move(e));
-    // App upcall on the worker thread, against per-shard app state; its
+    // App upcalls on the worker thread, against per-shard app state; their
     // global effects (latency samples) go through the ledger.
-    if (m.app_data != nullptr && d_.app_ != nullptr) {
-      d_.app_->deliver(AppNode(&d_, this), m);
+    if (m.app_data == nullptr) return;
+    for (ShardedApp* app : d_.apps_) app->deliver(AppNode(&d_, this), m);
+  }
+
+  bool on_forward(const pastry::LookupMsg& m,
+                  const pastry::NodeDescriptor& next) override {
+    if (m.app_data == nullptr) return false;
+    for (ShardedApp* app : d_.apps_) {
+      if (app->forward(AppNode(&d_, this), m, next)) return true;
     }
+    return false;
   }
 
   void on_activated() override {
@@ -172,10 +180,7 @@ class ShardedDriver::ShardEnv final : public pastry::Env {
     e.a = self_.addr;
     e.u = static_cast<std::uint64_t>(now() - join_started_);
     log(std::move(e));
-    if (!workload_started_) {
-      workload_started_ = true;
-      d_.start_workload_loop(*this);
-    }
+    d_.start_workload_loop(*this);
   }
 
   void on_marked_faulty(net::Address victim) override {
@@ -216,6 +221,7 @@ class ShardedDriver::ShardEnv final : public pastry::Env {
   }
 
   SimTime join_started_ = 0;
+  bool workload_started_ = false;
 
  private:
   ShardedDriver& d_;
@@ -228,7 +234,6 @@ class ShardedDriver::ShardEnv final : public pastry::Env {
   std::uint64_t send_seq_ = 0;
   std::uint32_t log_seq_ = 0;
   std::uint64_t lookup_seq_ = 0;
-  bool workload_started_ = false;
 };
 
 ShardedDriver::ShardedDriver(std::shared_ptr<const net::Topology> topology,
@@ -240,6 +245,7 @@ ShardedDriver::ShardedDriver(std::shared_ptr<const net::Topology> topology,
       net_seed_(config.seed ^ 0x9e3779b9ull),
       faults_(net_seed_ ^ 0xfa017c0deull),
       lookahead_(compute_lookahead(*topology_, net_config)),
+      rng_(config.seed),
       engine_(shards, lookahead_),
       metrics_(config.metrics_window, config.warmup) {
   const std::size_t s = engine_.shards();
@@ -272,16 +278,27 @@ ShardedDriver::~ShardedDriver() {
   }
 }
 
-void ShardedDriver::add_fault_rule(const net::FaultRule& rule) {
-  if (ran_) {
-    throw ConfigError("add_fault_rule: install fault rules before run_trace");
+void ShardedDriver::require_open(const char* what) const {
+  if (finished_) {
+    throw ConfigError(std::string(what) + ": the driver is finished");
   }
-  faults_.add(rule);
+}
+
+net::FaultPlan::RuleId ShardedDriver::add_fault_rule(
+    const net::FaultRule& rule) {
+  require_open("add_fault_rule");
+  return faults_.add(rule);
+}
+
+bool ShardedDriver::remove_fault_rule(net::FaultPlan::RuleId id) {
+  require_open("remove_fault_rule");
+  return faults_.remove(id);
 }
 
 void ShardedDriver::set_adversary(const ShardedAdversaryConfig& adv) {
-  if (ran_) {
-    throw ConfigError("set_adversary: install the adversary before run_trace");
+  require_open("set_adversary");
+  if (adv_) {
+    throw ConfigError("set_adversary: clear the installed scenario first");
   }
   if (!(adv.fraction >= 0.0 && adv.fraction <= 1.0)) {
     throw ConfigError("set_adversary: fraction must be in [0, 1]");
@@ -296,13 +313,40 @@ void ShardedDriver::set_adversary(const ShardedAdversaryConfig& adv) {
     throw ConfigError("set_adversary: arm_at must be >= 0");
   }
   adv_ = adv;
+  adv_->arm_at = std::max(adv.arm_at, now());
+  if (sessions_.empty()) return;  // run_trace places it over its sessions
+  // Between runs: the candidates are the live sessions.
+  settle();
+  std::vector<std::uint32_t> live;
+  for (const net::Address a : live_addresses()) {
+    live.push_back(static_cast<std::uint32_t>(a));
+  }
+  const std::vector<std::uint32_t> sybils = place_adversary(live);
+  if (adv_->arm_at > now()) {
+    schedule_arming(live, sybils);
+    return;
+  }
+  // Arming now: install and join before the next read sees the driver.
+  for (const std::uint32_t uid : live) arm_session(uid);
+  for (const std::uint32_t uid : sybils) create_session(uid);
+}
+
+void ShardedDriver::clear_adversary() {
+  require_open("clear_adversary");
+  for (std::uint32_t uid = 0; uid < sessions_.size(); ++uid) {
+    sessions_[uid].adversarial = false;
+    NodeState& ns = nodes_[uid];
+    if (ns.policy == nullptr) continue;
+    if (ns.node != nullptr) ns.node->set_adversary(nullptr);
+    ns.policy.reset();
+  }
+  adv_.reset();
 }
 
 void ShardedDriver::attach_app(ShardedApp* app) {
-  if (ran_) {
-    throw ConfigError("attach_app: attach the application before run_trace");
-  }
-  app_ = app;
+  require_open("attach_app");
+  app->on_run_start(*this, shards_.size());
+  apps_.push_back(app);
 }
 
 bool ShardedDriver::session_is_adversarial(net::Address a) const {
@@ -310,8 +354,7 @@ bool ShardedDriver::session_is_adversarial(net::Address a) const {
   return a >= 0 && i < sessions_.size() && sessions_[i].adversarial;
 }
 
-SimDuration ShardedDriver::delay_between(net::Address a,
-                                         net::Address b) const {
+SimDuration ShardedDriver::delay(net::Address a, net::Address b) const {
   if (a == b) return 0;
   return topology_->delay(sessions_[static_cast<std::size_t>(a)].router,
                           sessions_[static_cast<std::size_t>(b)].router) +
@@ -336,13 +379,13 @@ void ShardedDriver::shard_send(std::size_t src_shard, net::Address from,
   // identity, so the verdict is the same at every shard count.
   const net::PacketFate fate =
       net::packet_fate(faults_, net_cfg_, net_seed_, now, from, to, send_seq,
-                       delay_between(from, to));
+                       delay(from, to));
   net::for_each_fault_kind(fate.injected, [&sh](net::FaultKind k) {
     sh.traffic->on_fault_injected(k);
   });
   if (fate.drop) {
     ++sh.lost;
-    note_send_drop(sh, now, from, to, *msg);
+    note_send_drop(now, from, to, *msg);
     return;
   }
   const SimTime at =
@@ -365,17 +408,15 @@ void ShardedDriver::shard_devour(ShardEnv& env, net::Address to,
   assert(msg != nullptr);
   Shard& sh = *shards_[env.shard()];
   // The pretend transmission occupies the packet-accounting identity like
-  // a real one (the serial Network::devour does the same); the lookup id,
-  // if any, goes through the ledger so the eventual lost verdict is
-  // blamed on the adversary in S-invariant order.
+  // a real one; the lookup id, if any, goes through the ledger so the
+  // eventual lost verdict is blamed on the adversary in S-invariant order.
   ++sh.sent;
   ++sh.dropped_adversarial;
   sh.traffic->on_fault_injected(net::FaultKind::kAdversarialDrop);
-  if (sh.obs != nullptr) {
+  if (obs::FlightRecorder* rec = env.recorder()) {
     const auto* rm = dynamic_cast<const pastry::RoutedMessage*>(msg.get());
     if (rm != nullptr && rm->trace_id != 0) {
-      sh.obs->recorder_for(env.self().addr)
-          .record(env.now(), obs::EventKind::kAdversaryDrop, rm->trace_id,
+      rec->record(env.now(), obs::EventKind::kAdversaryDrop, rm->trace_id,
                   to, rm->hops, rm->hop_seq);
     }
   }
@@ -387,13 +428,14 @@ void ShardedDriver::shard_devour(ShardEnv& env, net::Address to,
   }
 }
 
-void ShardedDriver::note_send_drop(Shard& sh, SimTime now, net::Address from,
+void ShardedDriver::note_send_drop(SimTime now, net::Address from,
                                    net::Address to, const net::Packet& msg) {
-  if (sh.obs == nullptr) return;
+  obs::FlightRecorder* rec = sessions_[static_cast<std::size_t>(from)].rec;
+  if (rec == nullptr) return;
   const auto* rm = dynamic_cast<const pastry::RoutedMessage*>(&msg);
   if (rm == nullptr || rm->trace_id == 0) return;
-  sh.obs->recorder_for(from).record(now, obs::EventKind::kNetDrop,
-                                    rm->trace_id, to, rm->hops, rm->hop_seq);
+  rec->record(now, obs::EventKind::kNetDrop, rm->trace_id, to, rm->hops,
+              rm->hop_seq);
 }
 
 void ShardedDriver::schedule_delivery(std::size_t src_shard, SimTime at,
@@ -471,9 +513,47 @@ void ShardedDriver::deliver(std::size_t dst_shard, net::Address from,
     ns.node->handle(from, std::move(m));
     return;
   }
-  if (app_ != nullptr) {
-    app_->packet(AppNode(this, ns.env.get()), from, msg);
+  for (ShardedApp* app : apps_) {
+    app->packet(AppNode(this, ns.env.get()), from, msg);
   }
+}
+
+const std::vector<int>& ShardedDriver::attachable_routers() {
+  if (attachable_.empty()) {
+    for (int r = 0; r < topology_->router_count(); ++r) {
+      if (topology_->attachable(r)) attachable_.push_back(r);
+    }
+    assert(!attachable_.empty());
+  }
+  return attachable_;
+}
+
+void ShardedDriver::partition_evenly() {
+  const auto& att = attachable_routers();
+  const std::size_t s = shards_.size();
+  for (std::size_t k = 1; k < s; ++k) {
+    const int cut = att[k * att.size() / s];
+    if (cuts_.empty() || cuts_.back() < cut) cuts_.push_back(cut);
+  }
+  partitioned_ = true;
+}
+
+std::size_t ShardedDriver::shard_of_router(int router) const {
+  return static_cast<std::size_t>(
+      std::upper_bound(cuts_.begin(), cuts_.end(), router) - cuts_.begin());
+}
+
+std::uint32_t ShardedDriver::new_session(int router, NodeId id,
+                                         SimTime first_join) {
+  const auto uid = static_cast<std::uint32_t>(sessions_.size());
+  Session s;
+  s.id = id;
+  s.router = router;
+  s.shard = partitioned_ ? shard_of_router(router) : 0;
+  s.first_join = first_join;
+  sessions_.push_back(s);
+  nodes_.emplace_back();
+  return uid;
 }
 
 void ShardedDriver::create_session(std::uint32_t uid) {
@@ -483,9 +563,10 @@ void ShardedDriver::create_session(std::uint32_t uid) {
   const pastry::NodeDescriptor self{s.id, addr};
 
   NodeState ns;
-  obs::FlightRecorder* rec =
-      sh.obs != nullptr ? &sh.obs->recorder_for(addr) : nullptr;
-  ns.env = std::make_unique<ShardEnv>(*this, s.shard, uid, self, rec);
+  if (s.rec == nullptr && sh.obs != nullptr) {
+    s.rec = &sh.obs->recorder_for(addr);
+  }
+  ns.env = std::make_unique<ShardEnv>(*this, s.shard, uid, self, s.rec);
   ns.node = std::make_unique<pastry::PastryNode>(cfg_.pastry, self, *ns.env,
                                                  sh.counters);
   ShardEnv* env = ns.env.get();
@@ -532,6 +613,7 @@ void ShardedDriver::kill_session(std::uint32_t uid) {
   NodeState& ns = nodes_[uid];
   if (ns.node == nullptr) return;
   ShardEnv& env = *ns.env;
+  for (ShardedApp* app : apps_) app->node_down(AppNode(this, &env));
   LogEvent e;
   e.kind = LogEvent::Kind::kFailed;
   e.id = sessions_[uid].id;
@@ -543,10 +625,71 @@ void ShardedDriver::kill_session(std::uint32_t uid) {
   --shards_[sessions_[uid].shard]->live_nodes;
 }
 
+std::vector<std::uint32_t> ShardedDriver::place_adversary(
+    const std::vector<std::uint32_t>& candidates) {
+  if (adv_->fraction > 0.0) {
+    // Rank the candidates by a stateless hash of (adversary seed, salt,
+    // uid) and corrupt the round(f*N) smallest — reproducible from the
+    // seeds alone, independent of shard layout and map iteration order.
+    std::vector<std::uint32_t> rank = candidates;
+    std::sort(rank.begin(), rank.end(),
+              [&](std::uint32_t a, std::uint32_t b) {
+                const std::uint64_t ha = mix3(adv_->seed, kAdvSelectSalt, a);
+                const std::uint64_t hb = mix3(adv_->seed, kAdvSelectSalt, b);
+                return ha != hb ? ha < hb : a < b;
+              });
+    const auto k = static_cast<std::size_t>(
+        adv_->fraction * static_cast<double>(rank.size()) + 0.5);
+    for (std::size_t i = 0; i < std::min(k, rank.size()); ++i) {
+      sessions_[rank[i]].adversarial = true;
+    }
+  }
+  // Eclipse sybils: extra sessions that join at the arming instant with
+  // ids alternating ±k·2^104 around the victim — astronomically denser
+  // than honest spacing (~2^128 / N), so an unchecked victim ends up with
+  // sybils for leaf-set neighbours.
+  std::vector<std::uint32_t> sybils;
+  const auto& att = attachable_routers();
+  Rng sybil_setup(mix3(adv_->seed, kAdvSybilSalt, 0));
+  for (int i = 0; i < adv_->eclipse_sybils; ++i) {
+    const U128 offset =
+        U128{0, static_cast<std::uint64_t>(i / 2 + 1)} << 104;
+    const U128 id = (i % 2 == 0) ? adv_->eclipse_victim.value() + offset
+                                 : adv_->eclipse_victim.value() - offset;
+    const int router = att[sybil_setup.uniform_index(att.size())];
+    const std::uint32_t uid = new_session(router, NodeId{id}, adv_->arm_at);
+    sessions_[uid].adversarial = true;
+    sessions_[uid].sybil = true;
+    sybils_.push_back(static_cast<net::Address>(uid));
+    sybils.push_back(uid);
+  }
+  return sybils;
+}
+
+void ShardedDriver::schedule_arming(
+    const std::vector<std::uint32_t>& candidates,
+    const std::vector<std::uint32_t>& sybils) {
+  // One event per corrupted session, on its own shard (the event *count*
+  // must not depend on the shard count); sybils join through the normal
+  // session path. clear_adversary() before the instant cancels both.
+  for (const std::uint32_t i : candidates) {
+    if (!sessions_[i].adversarial) continue;
+    engine_.shard(sessions_[i].shard)
+        .schedule_at(adv_->arm_at, [this, i] { arm_session(i); });
+  }
+  for (const std::uint32_t uid : sybils) {
+    engine_.shard(sessions_[uid].shard).schedule_at(adv_->arm_at, [this, uid] {
+      if (sessions_[uid].adversarial) create_session(uid);
+    });
+  }
+}
+
 void ShardedDriver::arm_session(std::uint32_t uid) {
   // Install the policy on one corrupted session if it is live; a session
   // dead at arm time arms on its next join (create_session).
-  if (nodes_[uid].node != nullptr) install_policy(uid, nodes_[uid]);
+  if (adv_ && sessions_[uid].adversarial && nodes_[uid].node != nullptr) {
+    install_policy(uid, nodes_[uid]);
+  }
 }
 
 void ShardedDriver::install_policy(std::uint32_t uid, NodeState& ns) {
@@ -558,23 +701,24 @@ void ShardedDriver::install_policy(std::uint32_t uid, NodeState& ns) {
 }
 
 double ShardedDriver::workload_rate(SimTime now) const {
-  return app_ != nullptr ? app_->workload_rate(now)
-                         : cfg_.lookup_rate_per_node;
+  return apps_.empty() ? cfg_.lookup_rate_per_node
+                       : apps_.front()->workload_rate(now);
 }
 
 void ShardedDriver::start_workload_loop(ShardEnv& env) {
-  if (!workload_on_) return;
+  if (!workload_on_ || env.workload_started_) return;
+  env.workload_started_ = true;
   schedule_workload_tick(env);
 }
 
 void ShardedDriver::schedule_workload_tick(ShardEnv& env) {
   // Per-node Poisson process: the aggregate over N active nodes is
-  // Poisson with rate N * rate, exactly like the single-threaded driver's
-  // aggregate process, but each node draws only from its own stream. With
-  // an app attached the rate is the app's (a pure function of time,
-  // re-sampled each tick: a piecewise approximation, fine because the
-  // rate changes on the hour scale). The callback is liveness-guarded by
-  // env.schedule, so a killed node's pending tick fires into nothing.
+  // Poisson with rate N * rate, but each node draws only from its own
+  // stream. With apps attached the rate is the first app's (a pure
+  // function of time, re-sampled each tick: a piecewise approximation,
+  // fine because the rate changes on the hour scale). The callback is
+  // liveness-guarded by env.schedule, so a killed node's pending tick
+  // fires into nothing.
   const double rate = std::max(workload_rate(env.now()), 1e-6);
   const SimDuration gap = from_seconds(env.rng().exponential(1.0 / rate));
   ShardEnv* e = &env;
@@ -587,10 +731,10 @@ void ShardedDriver::schedule_workload_tick(ShardEnv& env) {
         adv_ && e->now() >= adv_->arm_at &&
         sessions_[e->uid()].adversarial;
     if (!armed_adversary) {
-      if (app_ != nullptr) {
-        app_->workload_tick(AppNode(this, e));
-      } else {
+      if (apps_.empty()) {
         issue_workload_lookup(*e);
+      } else {
+        apps_.front()->workload_tick(AppNode(this, e));
       }
     }
     schedule_workload_tick(*e);
@@ -598,8 +742,7 @@ void ShardedDriver::schedule_workload_tick(ShardEnv& env) {
 }
 
 void ShardedDriver::issue_workload_lookup(ShardEnv& env) {
-  const NodeState& ns = nodes_[env.uid()];
-  if (ns.node == nullptr) return;
+  if (nodes_[env.uid()].node == nullptr) return;
   NodeId key = env.rng().node_id();
   if (adv_ && env.now() >= adv_->arm_at) {
     // Honest-rooted keys (bounded redraws from the node's own stream,
@@ -612,6 +755,12 @@ void ShardedDriver::issue_workload_lookup(ShardEnv& env) {
       key = env.rng().node_id();
     }
   }
+  node_lookup(env, key, 0, nullptr);
+}
+
+std::uint64_t ShardedDriver::node_lookup(ShardEnv& env, NodeId key,
+                                         std::uint64_t payload,
+                                         net::PacketPtr app_data) {
   const std::uint64_t id = env.next_lookup_id();
   LogEvent e;
   e.kind = LogEvent::Kind::kIssued;
@@ -619,7 +768,9 @@ void ShardedDriver::issue_workload_lookup(ShardEnv& env) {
   e.a = env.self().addr;
   e.u = id;
   env.log(std::move(e));
-  ns.node->lookup(key, id, 0, cfg_.lookups_want_ack, nullptr);
+  nodes_[env.uid()].node->lookup(key, id, payload, cfg_.lookups_want_ack,
+                                 std::move(app_data));
+  return id;
 }
 
 void ShardedDriver::apply_barrier(SimTime epoch_end) {
@@ -702,15 +853,23 @@ void ShardedDriver::apply_log_event(const LogEvent& e) {
       const auto root = oracle_.root_of(e.id);
       const bool correct = root && *root == e.b;
       SimDuration nd = 0;
-      if (correct && e.a != e.b) nd = delay_between(e.a, e.b);
-      // Same attribution rule as the serial driver: a wrong delivery by an
-      // armed adversarial node is a misroute, anything else stale state.
+      if (correct && e.a != e.b) nd = delay(e.a, e.b);
+      // A wrong delivery by an armed adversarial node is a misroute,
+      // anything else stale state.
       const auto cause =
           (!correct && adv_ && e.t >= adv_->arm_at &&
            session_is_adversarial(e.b))
               ? Metrics::IncorrectCause::kAdversarialMisroute
               : Metrics::IncorrectCause::kStaleLeafSet;
       metrics_.on_lookup_delivered(e.u, e.t, correct, nd, cause);
+      if ((e.flag && cfg_.obs.enabled) ||
+          (!tracked_.empty() && tracked_.count(e.u) > 0)) {
+        // First-correct-wins, like Metrics: a misdelivered copy is
+        // upgraded if a later one (diverse-path redundancy, duplication
+        // faults) lands at the true root.
+        const auto [it, fresh] = verdicts_.emplace(e.u, correct);
+        if (!fresh && correct) it->second = true;
+      }
       break;
     }
     case LogEvent::Kind::kDevoured:
@@ -722,35 +881,27 @@ void ShardedDriver::apply_log_event(const LogEvent& e) {
     case LogEvent::Kind::kMarkedFaulty:
       if (alive_.count(e.a) > 0) ++ledger_false_positives_;
       break;
-    case LogEvent::Kind::kNetDropObs: {
-      Shard& sh = *shards_[sessions_[static_cast<std::size_t>(e.a)].shard];
-      if (sh.obs != nullptr) {
-        sh.obs->recorder_for(e.a).record(
-            e.t, obs::EventKind::kNetDrop, e.u, e.b,
-            static_cast<std::int32_t>(e.v >> 32),
-            e.v & 0xffffffffull);
+    case LogEvent::Kind::kNetDropObs:
+      if (obs::FlightRecorder* rec =
+              sessions_[static_cast<std::size_t>(e.a)].rec) {
+        rec->record(e.t, obs::EventKind::kNetDrop, e.u, e.b,
+                    static_cast<std::int32_t>(e.v >> 32),
+                    e.v & 0xffffffffull);
       }
       break;
-    }
   }
 }
 
 void ShardedDriver::run_trace(const trace::ChurnTrace& trace,
                               SimDuration extra) {
-  if (ran_) {
-    throw ConfigError("run_trace: a ShardedDriver runs exactly one trace");
+  require_open("run_trace");
+  if (!sessions_.empty() || now() > 0) {
+    throw ConfigError("run_trace: a trace needs a fresh driver");
   }
-  ran_ = true;
-  if (app_ != nullptr) app_->on_run_start(*this, shards_.size());
 
   // --- Pre-assignment: sessions get ids, routers, addresses and their
   // shard *before* anything runs, from the trial seed alone. ------------
-  std::vector<int> attachable;
-  for (int r = 0; r < topology_->router_count(); ++r) {
-    if (topology_->attachable(r)) attachable.push_back(r);
-  }
-  assert(!attachable.empty());
-
+  const auto& attachable = attachable_routers();
   std::unordered_map<std::int32_t, std::uint32_t> uid_of;
   for (const trace::ChurnEvent& ev : trace.events()) {
     if (ev.type != trace::ChurnEventType::kJoin) continue;
@@ -759,61 +910,26 @@ void ShardedDriver::run_trace(const trace::ChurnTrace& trace,
       sessions_.back().first_join = ev.time;
     }
   }
-  {
-    Rng setup(cfg_.seed);
-    for (Session& s : sessions_) {
-      s.router = attachable[setup.uniform_index(attachable.size())];
-      s.id = setup.node_id();
-    }
+  for (Session& s : sessions_) {
+    s.router = attachable[rng_.uniform_index(attachable.size())];
+    s.id = rng_.node_id();
   }
+  nodes_.resize(sessions_.size());
 
   // --- Adversarial population, decided before the partition so the
   // corrupted set and sybil sessions are identical at any shard count.
   const std::size_t n_trace = sessions_.size();
+  std::vector<std::uint32_t> candidates, sybils;
   if (adv_) {
-    if (adv_->fraction > 0.0) {
-      // Rank trace sessions by a stateless hash of (adversary seed, salt,
-      // uid) and corrupt the round(f*N) smallest — reproducible from the
-      // seeds alone, independent of shard layout and map iteration order.
-      std::vector<std::uint32_t> rank(n_trace);
-      for (std::uint32_t i = 0; i < n_trace; ++i) rank[i] = i;
-      std::sort(rank.begin(), rank.end(),
-                [&](std::uint32_t a, std::uint32_t b) {
-                  const std::uint64_t ha = mix3(adv_->seed, kAdvSelectSalt, a);
-                  const std::uint64_t hb = mix3(adv_->seed, kAdvSelectSalt, b);
-                  return ha != hb ? ha < hb : a < b;
-                });
-      const auto k = static_cast<std::size_t>(
-          adv_->fraction * static_cast<double>(n_trace) + 0.5);
-      for (std::size_t i = 0; i < std::min(k, n_trace); ++i) {
-        sessions_[rank[i]].adversarial = true;
-      }
-    }
-    // Eclipse sybils: extra sessions that join at arm time with ids
-    // alternating ±k·2^104 around the victim, the same clustering the
-    // serial AdversaryController::join_eclipse_cluster produces.
-    Rng sybil_setup(mix3(adv_->seed, kAdvSybilSalt, 0));
-    for (int i = 0; i < adv_->eclipse_sybils; ++i) {
-      const U128 offset =
-          U128{0, static_cast<std::uint64_t>(i / 2 + 1)} << 104;
-      const U128 id = (i % 2 == 0) ? adv_->eclipse_victim.value() + offset
-                                   : adv_->eclipse_victim.value() - offset;
-      Session sy;
-      sy.first_join = adv_->arm_at;
-      sy.router = attachable[sybil_setup.uniform_index(attachable.size())];
-      sy.id = NodeId{id};
-      sy.adversarial = true;
-      sy.sybil = true;
-      sybils_.push_back(static_cast<net::Address>(sessions_.size()));
-      sessions_.push_back(sy);
-    }
+    candidates.resize(n_trace);
+    for (std::uint32_t i = 0; i < n_trace; ++i) candidates[i] = i;
+    sybils = place_adversary(candidates);
   }
-
-  nodes_.resize(sessions_.size());
 
   // Router-contiguous partition: sort sessions by (router, uid) and cut
   // into near-equal blocks only at router boundaries, so cross-shard
-  // pairs always sit on distinct routers (the lookahead's premise).
+  // pairs always sit on distinct routers (the lookahead's premise). Each
+  // cut is recorded as the first router of the next shard.
   const std::size_t n = sessions_.size();
   const std::size_t s = shards_.size();
   std::vector<std::uint32_t> order(n);
@@ -825,16 +941,18 @@ void ShardedDriver::run_trace(const trace::ChurnTrace& trace,
                          : a < b;
             });
   const std::size_t target = n == 0 ? 1 : (n + s - 1) / s;
-  std::size_t shard = 0, in_block = 0;
+  std::size_t in_block = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    if (in_block >= target && shard + 1 < s &&
-        sessions_[order[i]].router != sessions_[order[i - 1]].router) {
-      ++shard;
+    const int router = sessions_[order[i]].router;
+    if (in_block >= target && cuts_.size() + 1 < s &&
+        router != sessions_[order[i - 1]].router) {
+      cuts_.push_back(router);
       in_block = 0;
     }
-    sessions_[order[i]].shard = shard;
     ++in_block;
   }
+  partitioned_ = true;
+  for (Session& sess : sessions_) sess.shard = shard_of_router(sess.router);
 
   // Per-shard-pair lookahead (opt-in): the global bound assumes the two
   // closest routers in the whole topology could land on different shards,
@@ -893,50 +1011,149 @@ void ShardedDriver::run_trace(const trace::ChurnTrace& trace,
           }
         });
   }
+  if (adv_) schedule_arming(candidates, sybils);
 
-  // --- Arm the adversary: one event per corrupted session (scheduled on
-  // its own shard — the event *count* must not depend on the shard
-  // count), and sybil joins through the normal session path.
-  if (adv_) {
-    for (std::uint32_t i = 0; i < n_trace; ++i) {
-      if (!sessions_[i].adversarial) continue;
-      engine_.shard(sessions_[i].shard)
-          .schedule_at(adv_->arm_at, [this, i] { arm_session(i); });
-    }
-    for (const net::Address a : sybils_) {
-      const auto uid = static_cast<std::uint32_t>(a);
-      engine_.shard(sessions_[uid].shard)
-          .schedule_at(adv_->arm_at, [this, uid] { create_session(uid); });
-    }
-  }
-
-  workload_on_ = cfg_.lookup_rate_per_node > 0.0 || app_ != nullptr;
+  workload_on_ = cfg_.lookup_rate_per_node > 0.0 || !apps_.empty();
   engine_.run_until(trace.duration() + extra,
                     [this](SimTime e) { apply_barrier(e); });
   finish();
 }
 
+// --- Imperative surface ---------------------------------------------------
+
+net::Address ShardedDriver::add_node() {
+  const int router = random_router();
+  return add_session(router, rng_.node_id());
+}
+
+net::Address ShardedDriver::add_node_with_id(NodeId id) {
+  return add_session(random_router(), id);
+}
+
+int ShardedDriver::random_router() {
+  require_open("add_node");
+  const auto& att = attachable_routers();
+  return att[rng_.uniform_index(att.size())];
+}
+
+net::Address ShardedDriver::add_session(int router, NodeId id) {
+  settle();
+  if (!partitioned_) partition_evenly();
+  const std::uint32_t uid = new_session(router, id, now());
+  create_session(uid);
+  return static_cast<net::Address>(uid);
+}
+
+void ShardedDriver::kill_node(net::Address a) {
+  require_open("kill_node");
+  settle();
+  if (node(a) != nullptr) kill_session(static_cast<std::uint32_t>(a));
+}
+
+void ShardedDriver::leave_node(net::Address a) {
+  require_open("leave_node");
+  settle();
+  pastry::PastryNode* n = node(a);
+  if (n == nullptr) return;
+  n->leave();  // notices are in flight before teardown
+  kill_session(static_cast<std::uint32_t>(a));
+}
+
+std::uint64_t ShardedDriver::issue_lookup(net::Address from, NodeId key,
+                                          std::uint64_t payload,
+                                          net::PacketPtr app_data) {
+  require_open("issue_lookup");
+  settle();
+  assert(node(from) != nullptr);
+  return node_lookup(*nodes_[static_cast<std::size_t>(from)].env, key,
+                     payload, std::move(app_data));
+}
+
+std::optional<bool> ShardedDriver::lookup_verdict(std::uint64_t id) {
+  settle();
+  const auto it = verdicts_.find(id);
+  if (it == verdicts_.end()) return std::nullopt;
+  return it->second;
+}
+
+void ShardedDriver::run_until(SimTime t) {
+  require_open("run_until");
+  settle();
+  engine_.run_until(t, [this](SimTime e) { apply_barrier(e); });
+}
+
+void ShardedDriver::start_workload() {
+  require_open("start_workload");
+  workload_on_ = cfg_.lookup_rate_per_node > 0.0 || !apps_.empty();
+  // Nodes already active start now, in uid order (each draws only from
+  // its own stream); later ones start on activation.
+  for (NodeState& ns : nodes_) {
+    if (ns.node != nullptr && ns.node->active()) start_workload_loop(*ns.env);
+  }
+}
+
 void ShardedDriver::finish() {
   if (finished_) return;
+  settle();  // flush any residual ledger entries
   finished_ = true;
   workload_on_ = false;
-  apply_barrier(kTimeNever);  // flush any residual ledger entries
+  for (auto& sh : shards_) metrics_.merge_traffic_from(*sh->traffic);
+  metrics_.finalize(now(), cfg_.loss_grace);
+  merge_obs();
+}
 
-  const SimTime end = engine_.shard(0).now();
-  for (auto& sh : shards_) {
-    metrics_.merge_traffic_from(*sh->traffic);
-    add_counters(total_counters_, sh->counters);
-  }
-  total_counters_.false_positives += ledger_false_positives_;
-  metrics_.finalize(end, cfg_.loss_grace);
-
-  if (cfg_.obs.enabled) {
+void ShardedDriver::merge_obs() {
+  if (!cfg_.obs.enabled) return;
+  if (obs_merged_ == nullptr) {
     obs_merged_ = std::make_unique<obs::TraceDomain>(cfg_.obs);
-    for (auto& sh : shards_) {
-      obs_merged_->absorb(std::move(*sh->obs));
-      sh->obs = nullptr;
-    }
   }
+  // Recorders move, their addresses stay: the sessions' cached recorder
+  // pointers remain valid, and new sessions record into their shard's
+  // (now empty) domain until the next merge.
+  for (auto& sh : shards_) obs_merged_->absorb(std::move(*sh->obs));
+}
+
+obs::TraceDomain* ShardedDriver::trace_domain() {
+  if (!cfg_.obs.enabled) return nullptr;
+  settle();
+  merge_obs();
+  return obs_merged_.get();
+}
+
+Metrics& ShardedDriver::metrics() {
+  settle();
+  return metrics_;
+}
+
+Oracle& ShardedDriver::oracle() {
+  settle();
+  return oracle_;
+}
+
+pastry::Counters ShardedDriver::counters() const {
+  pastry::Counters total;
+  for (const auto& sh : shards_) add_counters(total, sh->counters);
+  total.false_positives += ledger_false_positives_;
+  return total;
+}
+
+pastry::PastryNode* ShardedDriver::node(net::Address a) {
+  const auto i = static_cast<std::size_t>(a);
+  if (a < 0 || i >= nodes_.size()) return nullptr;
+  return nodes_[i].node.get();
+}
+
+std::vector<net::Address> ShardedDriver::live_addresses() const {
+  std::vector<net::Address> out;
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    if (nodes_[i].node != nullptr) out.push_back(static_cast<net::Address>(i));
+  }
+  return out;
+}
+
+std::optional<ShardedDriver::AppNode> ShardedDriver::app_node(net::Address a) {
+  if (node(a) == nullptr) return std::nullopt;
+  return AppNode(this, nodes_[static_cast<std::size_t>(a)].env.get());
 }
 
 std::uint64_t ShardedDriver::packets_sent() const {
@@ -1009,20 +1226,16 @@ pastry::MessagePool& ShardedDriver::AppNode::pool() const {
   return d_->shards_[env_->shard()]->pool;
 }
 
+pastry::PastryNode& ShardedDriver::AppNode::node() const {
+  return *d_->nodes_[env_->uid()].node;
+}
+
 std::uint64_t ShardedDriver::AppNode::issue_lookup(
     NodeId key, std::uint64_t payload, net::PacketPtr app_data) const {
-  const NodeState& ns = d_->nodes_[env_->uid()];
-  if (ns.node == nullptr) return 0;  // node died under the app's feet
-  const std::uint64_t id = env_->next_lookup_id();
-  LogEvent e;
-  e.kind = LogEvent::Kind::kIssued;
-  e.id = key;
-  e.a = env_->self().addr;
-  e.u = id;
-  env_->log(std::move(e));
-  ns.node->lookup(key, id, payload, d_->cfg_.lookups_want_ack,
-                  std::move(app_data));
-  return id;
+  if (d_->nodes_[env_->uid()].node == nullptr) {
+    return 0;  // node died under the app's feet
+  }
+  return d_->node_lookup(*env_, key, payload, std::move(app_data));
 }
 
 void ShardedDriver::AppNode::send_packet(net::Address to,

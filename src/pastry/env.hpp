@@ -41,7 +41,7 @@ class Env {
   virtual void send(net::Address to, MessagePtr msg) = 0;
 
   /// An adversarial node "transmits" a message it actually devours: the
-  /// network accounts for it as sent + adversarially dropped (so the
+  /// driver accounts for it as sent + adversarially dropped (so the
   /// packet identity stays exact) but never schedules delivery. Default
   /// no-op: environments without a network (unit-test mocks) need no
   /// accounting.

@@ -473,10 +473,10 @@ bool PastryNode::adversary_route(const IntrusivePtr<RoutedMessage>& m,
       return false;
     case AdversaryPolicy::RouteAction::kDrop: {
       // Ack-then-devour: the upstream hop already got its per-hop ack
-      // from handle(), so to it the transmission succeeded. The network
+      // from handle(), so to it the transmission succeeded. The driver
       // accounts for the pretend forward (sent + adversarially dropped)
-      // and reports it to the drop observer for causal-path evidence,
-      // but delivery is never scheduled.
+      // and records it on this node's ring for causal-path evidence, but
+      // delivery is never scheduled.
       ++counters_.lookups_dropped_adversarial;
       if (next.valid()) {
         auto copy = make_msg<LookupMsg>(env_.pool(),

@@ -265,25 +265,4 @@ void Simulator::run_to_completion() {
   }
 }
 
-PeriodicTask::PeriodicTask(Simulator& sim, SimDuration period,
-                           Simulator::Callback fn)
-    : state_(std::make_shared<State>(State{sim, period, std::move(fn)})) {
-  assert(period > 0);
-  arm(state_);
-}
-
-void PeriodicTask::arm(const std::shared_ptr<State>& st) {
-  st->timer = st->sim.schedule_after(st->period, [st] {
-    if (st->stopped) return;
-    st->fn();
-    if (!st->stopped) arm(st);
-  });
-}
-
-void PeriodicTask::stop() {
-  if (!state_ || state_->stopped) return;
-  state_->stopped = true;
-  state_->sim.cancel(state_->timer);
-}
-
 }  // namespace mspastry

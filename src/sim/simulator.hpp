@@ -53,7 +53,7 @@ class Simulator {
  public:
   /// Inline capacity for callbacks stored by the simulator. Sized so the
   /// drivers' liveness-guard wrapper (shared_ptr flag + a full
-  /// InplaceCallback, see OverlayDriver::NodeEnv) still fits without a
+  /// InplaceCallback, see ShardedDriver::ShardEnv) still fits without a
   /// heap fallback.
   static constexpr std::size_t kCallbackCapacity =
       16 + sizeof(InplaceCallback);
@@ -240,34 +240,6 @@ class Simulator {
   std::size_t wheel_count_ = 0;   // entries across all buckets (+tombstones)
   std::vector<HeapEntry> far_;    // binary min-heap on (t, seq)
   std::vector<HeapEntry> scratch_;  // cascade staging, capacity reused
-};
-
-/// A repeating timer built on the simulator: fires `fn` every `period`,
-/// first firing one period after construction, until stop() or
-/// destruction. Used for timed fault-rule supervision and the chaos
-/// harness's invariant polling.
-class PeriodicTask {
- public:
-  PeriodicTask(Simulator& sim, SimDuration period, Simulator::Callback fn);
-  ~PeriodicTask() { stop(); }
-
-  PeriodicTask(const PeriodicTask&) = delete;
-  PeriodicTask& operator=(const PeriodicTask&) = delete;
-
-  void stop();
-
- private:
-  struct State {
-    Simulator& sim;
-    SimDuration period;
-    Simulator::Callback fn;
-    bool stopped = false;
-    TimerId timer = kInvalidTimer;
-  };
-
-  static void arm(const std::shared_ptr<State>& st);
-
-  std::shared_ptr<State> state_;
 };
 
 }  // namespace mspastry

@@ -1,6 +1,7 @@
-// The adversary subsystem: keyed Byzantine behaviors, the controller's
-// deterministic population management, eclipse clustering vs the density
-// countermeasure, diverse-path redundancy vs interception, the
+// The adversary subsystem: keyed Byzantine behaviors, the driver's
+// deterministic population management (set_adversary / clear_adversary),
+// eclipse clustering vs the density countermeasure, diverse-path
+// redundancy vs interception, the
 // delivered-at-oracle-root expectation rule, and composition with network
 // fault rules (oracle accounting identity, no false verdicts at f=0).
 
@@ -9,20 +10,21 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "net/transit_stub.hpp"
 #include "obs/expectations.hpp"
 #include "obs/path_assembler.hpp"
-#include "overlay/driver.hpp"
+#include "overlay/sharded_driver.hpp"
 
 namespace mspastry {
 namespace {
 
 using overlay::AdversaryBehavior;
-using overlay::AdversaryController;
 using overlay::KeyedAdversary;
+using overlay::ShardedAdversaryConfig;
+using overlay::ShardedDriver;
 using RouteAction = pastry::AdversaryPolicy::RouteAction;
 
 std::shared_ptr<net::Topology> small_topology() {
@@ -31,7 +33,7 @@ std::shared_ptr<net::Topology> small_topology() {
 }
 
 // A driver with `n` settled nodes and the given countermeasure knobs.
-std::unique_ptr<overlay::OverlayDriver> build_overlay(
+std::unique_ptr<ShardedDriver> build_overlay(
     int n, std::uint64_t seed, int redundancy, bool checks,
     bool traced = false) {
   overlay::DriverConfig dcfg;
@@ -40,8 +42,8 @@ std::unique_ptr<overlay::OverlayDriver> build_overlay(
   dcfg.pastry.lookup_redundancy = redundancy;
   dcfg.pastry.leaf_plausibility_checks = checks;
   dcfg.obs.enabled = traced;
-  auto driver = std::make_unique<overlay::OverlayDriver>(
-      small_topology(), net::NetworkConfig{}, dcfg);
+  auto driver = std::make_unique<overlay::ShardedDriver>(
+      small_topology(), net::NetworkConfig{}, dcfg, 1);
   for (int i = 0; i < n; ++i) {
     driver->add_node();
     driver->run_for(seconds(2));
@@ -50,68 +52,60 @@ std::unique_ptr<overlay::OverlayDriver> build_overlay(
   return driver;
 }
 
-// Probe bookkeeping shared by the behavioral tests: first-correct-wins,
-// registered before issuing (a source that is the root delivers
-// synchronously inside issue_lookup).
+// The adversary armed now, between runs.
+ShardedAdversaryConfig adversary(AdversaryBehavior behavior, double fraction,
+                                 std::uint64_t seed) {
+  ShardedAdversaryConfig adv;
+  adv.behavior = behavior;
+  adv.fraction = fraction;
+  adv.strike = 1.0;
+  adv.seed = seed;
+  return adv;
+}
+
+// Probe bookkeeping shared by the behavioral tests: the driver's tracked
+// delivery verdicts (first-correct-wins). Sources and keys avoid the
+// adversarial population.
 struct ProbeBoard {
-  struct Outcome {
-    bool delivered = false;
-    bool correct = false;
-  };
-  std::unordered_map<std::uint64_t, Outcome> outcomes;
+  std::vector<std::uint64_t> ids;
 
-  void attach(overlay::OverlayDriver& driver) {
-    driver.on_app_deliver = [this, &driver](net::Address self,
-                                            const pastry::LookupMsg& m) {
-      auto it = outcomes.find(m.lookup_id);
-      if (it == outcomes.end() ||
-          (it->second.delivered && it->second.correct)) {
-        return;
-      }
-      const auto root = driver.oracle().root_of(m.key);
-      const bool correct = root && *root == self;
-      if (!it->second.delivered || correct) {
-        it->second.delivered = true;
-        it->second.correct = correct;
-      }
-    };
-  }
-
-  void issue(overlay::OverlayDriver& driver, const AdversaryController& adv,
-             int count) {
+  void issue(ShardedDriver& driver, int count) {
     for (int i = 0; i < count; ++i) {
-      auto src = driver.oracle().random_active(driver.rng());
-      for (int tries = 0;
-           src && adv.is_adversarial(src->second) && tries < 64; ++tries) {
-        src = driver.oracle().random_active(driver.rng());
+      net::Address src = net::kNullAddress;
+      for (int tries = 0; tries <= 64; ++tries) {
+        const auto pick = driver.oracle().random_active(driver.rng());
+        if (!pick) break;
+        src = pick->second;
+        if (!driver.session_is_adversarial(src)) break;
       }
       NodeId key = driver.rng().node_id();
       for (int tries = 0; tries < 64; ++tries) {
         const auto root = driver.oracle().root_of(key);
-        if (root && !adv.is_adversarial(*root)) break;
+        if (root && !driver.session_is_adversarial(*root)) break;
         key = driver.rng().node_id();
       }
-      if (!src || adv.is_adversarial(src->second)) continue;
-      outcomes.emplace(driver.next_lookup_id(), Outcome{});
-      driver.issue_lookup(src->second, key);
+      if (src == net::kNullAddress || driver.session_is_adversarial(src)) {
+        continue;
+      }
+      const std::uint64_t id = driver.issue_lookup(src, key);
+      driver.track_lookup(id);
+      ids.push_back(id);
       driver.run_for(seconds(1));
     }
     driver.run_for(seconds(30));
   }
 
-  std::uint64_t lost() const {
+  std::uint64_t lost(ShardedDriver& driver) const {
     std::uint64_t n = 0;
-    for (const auto& [id, o] : outcomes) {
-      (void)id;
-      if (!o.delivered) ++n;
+    for (const auto id : ids) {
+      if (!driver.lookup_verdict(id)) ++n;
     }
     return n;
   }
-  std::uint64_t incorrect() const {
+  std::uint64_t incorrect(ShardedDriver& driver) const {
     std::uint64_t n = 0;
-    for (const auto& [id, o] : outcomes) {
-      (void)id;
-      if (o.delivered && !o.correct) ++n;
+    for (const auto id : ids) {
+      if (driver.lookup_verdict(id) == false) ++n;
     }
     return n;
   }
@@ -160,21 +154,28 @@ TEST(KeyedAdversary, LiarCorruptsRepliesOthersDoNot) {
   EXPECT_TRUE(failed2.empty());
 }
 
-// ----------------------------------------------------------- the controller
+// ------------------------------------------------- the adversary scenario
 
-TEST(AdversaryController, CorruptFractionIsDeterministicAndReversible) {
+std::vector<net::Address> adversarial_nodes(const ShardedDriver& driver) {
+  std::vector<net::Address> out;
+  for (const auto a : driver.live_addresses()) {
+    if (driver.session_is_adversarial(a)) out.push_back(a);
+  }
+  return out;
+}
+
+TEST(AdversaryScenario, CorruptFractionIsDeterministicAndReversible) {
   const auto corrupted_set = [](std::uint64_t seed) {
     auto driver = build_overlay(20, 11, 1, false);
-    AdversaryController adv(*driver, AdversaryBehavior::kDrop, 1.0, seed);
-    const auto chosen = adv.corrupt_fraction(0.25);
+    driver->set_adversary(adversary(AdversaryBehavior::kDrop, 0.25, seed));
+    const auto chosen = adversarial_nodes(*driver);
     EXPECT_EQ(chosen.size(), 5u);  // round(0.25 * 20)
-    EXPECT_EQ(adv.count(), 5u);
     for (const auto a : chosen) {
-      EXPECT_TRUE(adv.is_adversarial(a));
+      EXPECT_TRUE(driver->session_is_adversarial(a));
       EXPECT_TRUE(driver->node(a)->is_adversarial());
     }
-    adv.disarm();
-    EXPECT_EQ(adv.count(), 0u);
+    driver->clear_adversary();
+    EXPECT_TRUE(adversarial_nodes(*driver).empty());
     for (const auto a : chosen) {
       EXPECT_FALSE(driver->node(a)->is_adversarial());
     }
@@ -186,17 +187,20 @@ TEST(AdversaryController, CorruptFractionIsDeterministicAndReversible) {
 
 // --------------------------------------------- eclipse vs density checks
 
-TEST(AdversaryController, DensityChecksKeepSybilsOutOfTheVictimLeafSet) {
+TEST(AdversaryScenario, DensityChecksKeepSybilsOutOfTheVictimLeafSet) {
   // The same sybil cluster joins twice: an unhardened victim adopts the
   // implausibly-close ids as leaf-set neighbours (the eclipse), a
   // hardened one vetoes them by spacing plausibility.
   const auto sybils_admitted = [](bool checks) {
     auto driver = build_overlay(30, 17, 1, checks);
     const auto victim = driver->oracle().random_active(driver->rng());
-    AdversaryController adv(*driver, AdversaryBehavior::kMisroute, 1.0, 5);
-    const auto sybils =
-        adv.join_eclipse_cluster(victim->first, 8, seconds(2));
-    driver->run_for(minutes(2));  // let leaf-set gossip circulate
+    auto adv = adversary(AdversaryBehavior::kMisroute, 0.0, 5);
+    adv.eclipse_sybils = 8;
+    adv.eclipse_victim = victim->first;
+    driver->set_adversary(adv);
+    driver->run_for(seconds(2) * 8);  // the sybils' joins
+    driver->run_for(minutes(2));      // let leaf-set gossip circulate
+    const auto& sybils = driver->sybil_addresses();
     std::unordered_set<net::Address> sybil_set(sybils.begin(), sybils.end());
     std::size_t admitted = 0;
     for (const auto& m :
@@ -205,7 +209,7 @@ TEST(AdversaryController, DensityChecksKeepSybilsOutOfTheVictimLeafSet) {
     }
     const std::uint64_t rejections =
         driver->counters().leaf_candidates_rejected;
-    adv.kill_sybils();
+    for (const auto a : sybils) driver->kill_node(a);
     return std::pair<std::size_t, std::uint64_t>(admitted, rejections);
   };
   const auto [eclipsed, no_rejections] = sybils_admitted(false);
@@ -224,15 +228,13 @@ TEST(DiversePath, RedundantCopiesRecoverLookupsFromDroppers) {
   // disjoint copies get through.
   const auto lost_with = [](int redundancy) {
     auto driver = build_overlay(100, 23, redundancy, false);
-    AdversaryController adv(*driver, AdversaryBehavior::kDrop, 1.0, 9);
-    adv.corrupt_fraction(0.3);
+    driver->set_adversary(adversary(AdversaryBehavior::kDrop, 0.3, 9));
     ProbeBoard board;
-    board.attach(*driver);
-    board.issue(*driver, adv, 60);
+    board.issue(*driver, 60);
     if (redundancy > 1) {
       EXPECT_GT(driver->counters().redundant_lookup_copies, 0u);
     }
-    return board.lost();
+    return board.lost(*driver);
   };
   const auto lost_single = lost_with(1);
   const auto lost_diverse = lost_with(3);
@@ -247,12 +249,11 @@ TEST(Expectations, MisdeliveryRuleFiresWithCausalPathWhenUnhardened) {
   // claim on a traced lookup must trip delivered-at-oracle-root, and the
   // offending causal path must be assemblable from the flight recorders.
   auto driver = build_overlay(100, 31, 1, false, /*traced=*/true);
-  AdversaryController adv(*driver, AdversaryBehavior::kMisroute, 1.0, 13);
-  adv.corrupt_fraction(0.3);
+  driver->set_adversary(adversary(AdversaryBehavior::kMisroute, 0.3, 13));
   ProbeBoard board;
-  board.attach(*driver);
-  board.issue(*driver, adv, 60);
-  ASSERT_GT(board.incorrect() + board.lost(), 0u);  // the attack landed
+  board.issue(*driver, 60);
+  // the attack landed
+  ASSERT_GT(board.incorrect(*driver) + board.lost(*driver), 0u);
 
   obs::TraceDomain* domain = driver->trace_domain();
   ASSERT_NE(domain, nullptr);
@@ -277,19 +278,19 @@ TEST(Expectations, MisdeliveryRuleFiresWithCausalPathWhenUnhardened) {
 
 // ------------------------- composition with fault rules, purity at f=0
 
-void add_fault_cocktail(net::Network& net, SimTime t0, SimTime t1,
+void add_fault_cocktail(ShardedDriver& driver, SimTime t0, SimTime t1,
                         SimTime flap_t1, std::uint64_t seed) {
   auto dup =
       net::FaultRule::duplicate(net::LinkMatcher::all(), 0.2,
                                 milliseconds(15), t0, t1);
   dup.seed = seed;
-  net.faults().add(dup);
+  driver.add_fault_rule(dup);
   auto reorder = net::FaultRule::reorder(net::LinkMatcher::all(), 0.3,
                                          milliseconds(40), t0, t1);
   reorder.seed = seed + 1;
-  net.faults().add(reorder);
-  net.faults().add(net::FaultRule::flap(net::LinkMatcher::endpoint({2, 5}),
-                                        seconds(8), 0.4, t0, flap_t1));
+  driver.add_fault_rule(reorder);
+  driver.add_fault_rule(net::FaultRule::flap(
+      net::LinkMatcher::endpoint({2, 5}), seconds(8), 0.4, t0, flap_t1));
 }
 
 TEST(AdversaryComposition, AccountingIdentityHoldsUnderFaultsPlusAdversary) {
@@ -300,21 +301,20 @@ TEST(AdversaryComposition, AccountingIdentityHoldsUnderFaultsPlusAdversary) {
   //           + in_flight.
   for (const std::uint64_t seed : {51ull, 52ull, 53ull}) {
     auto driver = build_overlay(40, seed, 3, true);
-    AdversaryController adv(*driver, AdversaryBehavior::kDrop, 1.0,
-                            seed ^ 0xbeef);
-    adv.corrupt_fraction(0.2);
-    net::Network& net = driver->network();
-    add_fault_cocktail(net, driver->sim().now(),
-                       driver->sim().now() + minutes(2),
-                       driver->sim().now() + minutes(2), seed);
+    driver->set_adversary(
+        adversary(AdversaryBehavior::kDrop, 0.2, seed ^ 0xbeef));
+    add_fault_cocktail(*driver, driver->now(), driver->now() + minutes(2),
+                       driver->now() + minutes(2), seed);
     ProbeBoard board;
-    board.attach(*driver);
-    board.issue(*driver, adv, 40);
-    EXPECT_GT(net.packets_dropped_adversarial(), 0u) << "seed " << seed;
-    EXPECT_EQ(net.packets_sent(),
-              net.packets_lost() + net.packets_delivered() +
-                  net.packets_dropped_unbound() +
-                  net.packets_dropped_adversarial() + net.packets_in_flight())
+    board.issue(*driver, 40);
+    const ShardedDriver& d = *driver;
+    EXPECT_GT(d.packets_dropped_adversarial(), 0u) << "seed " << seed;
+    EXPECT_EQ(static_cast<std::int64_t>(d.packets_sent()),
+              static_cast<std::int64_t>(d.packets_lost() +
+                                        d.packets_delivered() +
+                                        d.packets_dropped_unbound() +
+                                        d.packets_dropped_adversarial()) +
+                  d.packets_in_flight())
         << "seed " << seed;
   }
 }
@@ -328,19 +328,16 @@ TEST(AdversaryComposition, NoFalseIncorrectVerdictsAtFractionZero) {
   // and the ring given time to heal, so any incorrect verdict here would
   // be a false one.
   auto driver = build_overlay(40, 61, 3, true);
-  AdversaryController adv(*driver, AdversaryBehavior::kMisroute, 1.0, 3);
-  // f = 0: nobody corrupted; the controller exists but is idle.
-  net::Network& net = driver->network();
-  add_fault_cocktail(net, driver->sim().now(),
-                     driver->sim().now() + minutes(10),
-                     driver->sim().now() + minutes(1), 99);
+  // f = 0: nobody corrupted; the scenario is installed but idle.
+  driver->set_adversary(adversary(AdversaryBehavior::kMisroute, 0.0, 3));
+  add_fault_cocktail(*driver, driver->now(), driver->now() + minutes(10),
+                     driver->now() + minutes(1), 99);
   driver->run_for(minutes(4));  // flap over; condemned peers re-admitted
   ProbeBoard board;
-  board.attach(*driver);
-  board.issue(*driver, adv, 60);
-  EXPECT_EQ(board.incorrect(), 0u);
-  EXPECT_EQ(board.lost(), 0u);
-  EXPECT_EQ(net.packets_dropped_adversarial(), 0u);
+  board.issue(*driver, 60);
+  EXPECT_EQ(board.incorrect(*driver), 0u);
+  EXPECT_EQ(board.lost(*driver), 0u);
+  EXPECT_EQ(driver->packets_dropped_adversarial(), 0u);
   EXPECT_EQ(driver->counters().lookups_dropped_adversarial, 0u);
 }
 

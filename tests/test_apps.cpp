@@ -4,32 +4,31 @@
 #include <memory>
 #include <vector>
 
-#include "apps/app_mux.hpp"
 #include "apps/kv_store.hpp"
 #include "apps/multicast.hpp"
 #include "apps/sharded_web_cache.hpp"
 #include "net/transit_stub.hpp"
-#include "overlay/driver.hpp"
 #include "overlay/sharded_driver.hpp"
 
 namespace mspastry {
 namespace {
 
 using overlay::DriverConfig;
-using overlay::OverlayDriver;
+using overlay::ShardedDriver;
 
 struct AppFixture {
   std::shared_ptr<net::Topology> topo =
       std::make_shared<net::TransitStubTopology>(
           net::TransitStubParams::scaled(3, 3, 4));
-  std::unique_ptr<OverlayDriver> driver;
+  std::unique_ptr<ShardedDriver> driver;
 
   explicit AppFixture(std::uint64_t seed, int nodes) {
     DriverConfig cfg;
     cfg.lookup_rate_per_node = 0.0;
     cfg.warmup = 0;
     cfg.seed = seed;
-    driver = std::make_unique<OverlayDriver>(topo, net::NetworkConfig{}, cfg);
+    driver =
+        std::make_unique<ShardedDriver>(topo, net::NetworkConfig{}, cfg, 1);
     for (int i = 0; i < nodes; ++i) {
       driver->add_node();
       driver->run_for(seconds(2));
@@ -46,9 +45,8 @@ struct AppFixture {
 
 TEST(KvStore, PutThenGetRoundTrip) {
   AppFixture f(61, 30);
-  apps::AppMux mux(*f.driver);
-  apps::KvStoreService kv(*f.driver);
-  mux.attach(kv);
+  apps::KvStoreService kv;
+  f.driver->attach_app(&kv);
 
   bool put_ok = false;
   kv.put(f.random_node(), "hello", "world", [&](bool ok) { put_ok = ok; });
@@ -69,9 +67,8 @@ TEST(KvStore, PutThenGetRoundTrip) {
 
 TEST(KvStore, MissingKeyReportsNotFound) {
   AppFixture f(62, 20);
-  apps::AppMux mux(*f.driver);
-  apps::KvStoreService kv(*f.driver);
-  mux.attach(kv);
+  apps::KvStoreService kv;
+  f.driver->attach_app(&kv);
   bool called = false;
   bool found = true;
   kv.get(f.random_node(), "nope", [&](bool ok, const std::string&) {
@@ -86,9 +83,8 @@ TEST(KvStore, MissingKeyReportsNotFound) {
 
 TEST(KvStore, ReplicatesToLeafNeighbours) {
   AppFixture f(63, 30);
-  apps::AppMux mux(*f.driver);
-  apps::KvStoreService kv(*f.driver, /*replicas=*/4);
-  mux.attach(kv);
+  apps::KvStoreService kv(/*replicas=*/4);
+  f.driver->attach_app(&kv);
   kv.put(f.random_node(), "k1", "v1");
   f.driver->run_for(seconds(10));
   EXPECT_EQ(kv.stats().replicas_stored, 4u);
@@ -100,9 +96,8 @@ TEST(KvStore, ReplicatesToLeafNeighbours) {
 
 TEST(KvStore, SurvivesRootFailure) {
   AppFixture f(64, 30);
-  apps::AppMux mux(*f.driver);
-  apps::KvStoreService kv(*f.driver, 4);
-  mux.attach(kv);
+  apps::KvStoreService kv(4);
+  f.driver->attach_app(&kv);
   kv.put(f.random_node(), "durable", "data");
   f.driver->run_for(seconds(10));
   // Kill the current root of the key.
@@ -126,9 +121,8 @@ TEST(KvStore, SurvivesRootFailure) {
 
 TEST(KvStore, ManyKeysSpreadOverNodes) {
   AppFixture f(65, 30);
-  apps::AppMux mux(*f.driver);
-  apps::KvStoreService kv(*f.driver, 0);
-  mux.attach(kv);
+  apps::KvStoreService kv(0);
+  f.driver->attach_app(&kv);
   for (int i = 0; i < 60; ++i) {
     kv.put(f.random_node(), "key" + std::to_string(i), "v");
     f.driver->run_for(milliseconds(300));
@@ -148,9 +142,8 @@ TEST(KvStore, RepairSurvivesSequentialRootFailures) {
   // copies. With PAST-like repair enabled, the replica set follows the
   // ring and the object survives.
   AppFixture f(76, 40);
-  apps::AppMux mux(*f.driver);
-  apps::KvStoreService kv(*f.driver, /*replicas=*/4);
-  mux.attach(kv);
+  apps::KvStoreService kv(/*replicas=*/4);
+  f.driver->attach_app(&kv);
   kv.enable_repair(minutes(2));
   kv.put(f.random_node(), "perennial", "still-here");
   f.driver->run_for(seconds(10));
@@ -297,9 +290,8 @@ TEST(WebCache, CapacityEvicts) {
 
 TEST(Multicast, MembersReceivePublishedMessages) {
   AppFixture f(70, 30);
-  apps::AppMux mux(*f.driver);
-  apps::MulticastService mc(*f.driver);
-  mux.attach(mc);
+  apps::MulticastService mc;
+  f.driver->attach_app(&mc);
   const NodeId group = apps::MulticastService::group_id("news");
   std::vector<net::Address> members;
   const auto addrs = f.driver->live_addresses();
@@ -322,9 +314,8 @@ TEST(Multicast, MembersReceivePublishedMessages) {
 
 TEST(Multicast, NonMembersDoNotReceive) {
   AppFixture f(71, 20);
-  apps::AppMux mux(*f.driver);
-  apps::MulticastService mc(*f.driver);
-  mux.attach(mc);
+  apps::MulticastService mc;
+  f.driver->attach_app(&mc);
   const NodeId group = apps::MulticastService::group_id("quiet");
   const auto addrs = f.driver->live_addresses();
   mc.subscribe(addrs[0], group);
@@ -340,9 +331,8 @@ TEST(Multicast, NonMembersDoNotReceive) {
 
 TEST(Multicast, DuplicatePublishSuppressed) {
   AppFixture f(72, 20);
-  apps::AppMux mux(*f.driver);
-  apps::MulticastService mc(*f.driver);
-  mux.attach(mc);
+  apps::MulticastService mc;
+  f.driver->attach_app(&mc);
   const NodeId group = apps::MulticastService::group_id("dup");
   const auto addrs = f.driver->live_addresses();
   mc.subscribe(addrs[0], group);
@@ -357,9 +347,8 @@ TEST(Multicast, DuplicatePublishSuppressed) {
 
 TEST(Multicast, ResubscribeIsIdempotent) {
   AppFixture f(73, 20);
-  apps::AppMux mux(*f.driver);
-  apps::MulticastService mc(*f.driver);
-  mux.attach(mc);
+  apps::MulticastService mc;
+  f.driver->attach_app(&mc);
   const NodeId group = apps::MulticastService::group_id("refresh");
   const auto addrs = f.driver->live_addresses();
   for (int i = 0; i < 3; ++i) {
@@ -375,9 +364,8 @@ TEST(Multicast, ResubscribeIsIdempotent) {
 
 TEST(Multicast, AutoRefreshHealsTreeAfterForwarderCrash) {
   AppFixture f(75, 30);
-  apps::AppMux mux(*f.driver);
-  apps::MulticastService mc(*f.driver);
-  mux.attach(mc);
+  apps::MulticastService mc;
+  f.driver->attach_app(&mc);
   mc.enable_auto_refresh(seconds(30));
   const NodeId group = apps::MulticastService::group_id("healing");
   const auto addrs = f.driver->live_addresses();
@@ -403,13 +391,12 @@ TEST(Multicast, AutoRefreshHealsTreeAfterForwarderCrash) {
 }
 
 TEST(Multicast, TwoAppsShareOneOverlay) {
-  // The AppMux must dispatch kv and multicast traffic independently.
+  // The driver must dispatch kv and multicast traffic independently.
   AppFixture f(74, 20);
-  apps::AppMux mux(*f.driver);
-  apps::KvStoreService kv(*f.driver);
-  apps::MulticastService mc(*f.driver);
-  mux.attach(kv);
-  mux.attach(mc);
+  apps::KvStoreService kv;
+  apps::MulticastService mc;
+  f.driver->attach_app(&kv);
+  f.driver->attach_app(&mc);
   const NodeId group = apps::MulticastService::group_id("mix");
   const auto addrs = f.driver->live_addresses();
   mc.subscribe(addrs[0], group);

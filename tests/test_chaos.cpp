@@ -6,11 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <tuple>
 #include <vector>
 
-#include "net/network.hpp"
 #include "net/transit_stub.hpp"
 
 namespace mspastry {
@@ -190,144 +190,210 @@ TEST(FaultPlan, ApplyDependsOnlyOnThePacket) {
   }
 }
 
-// ------------------------------------------------- network-level semantics
+// ------------------------------------------------- packet-level semantics
 
-struct NetFixture {
-  Simulator sim;
-  std::shared_ptr<net::Topology> topo =
-      std::make_shared<net::TransitStubTopology>(
-          net::TransitStubParams::scaled(2, 2, 3));
-  net::Network net{sim, topo, net::NetworkConfig{}, 5};
-  Rng rng{99};
+/// A test packet; `n` names it.
+struct P final : pastry::CloneableAppData {
+  std::uint64_t n = 0;
+  net::PacketPtr clone_into(pastry::MessagePool& pool) const override {
+    return pool.make<P>(*this);
+  }
+};
 
-  struct P final : net::Packet {};
+/// Counts the test packets every node receives, and when.
+class Sink final : public overlay::ShardedApp {
+ public:
+  using AppNode = overlay::ShardedDriver::AppNode;
+  void on_run_start(overlay::ShardedDriver&, std::size_t) override {}
+  double workload_rate(SimTime) const override { return 0.0; }
+  void workload_tick(const AppNode&) override {}
+  void deliver(const AppNode&, const pastry::LookupMsg&) override {}
+  void packet(const AppNode& node, Address, const net::PacketPtr& p) override {
+    const auto* probe = dynamic_cast<const P*>(p.get());
+    if (probe == nullptr) return;
+    ++got;
+    ++arrivals[probe->n];
+    arrived = node.now();
+  }
+
+  int got = 0;
+  std::map<std::uint64_t, int> arrivals;
+  SimTime arrived = kTimeNever;
+};
+
+/// Two endpoints on the keyed engine that exchange nothing but the test's
+/// packets: the overlay's first session (the only one allowed to
+/// bootstrap) crashes at once, so `a` and `b` wait for a join candidate
+/// that never appears — live, bound, and silent.
+struct SilentPair {
+  Sink sink;  // outlives the driver
+  overlay::ShardedDriver d{std::make_shared<net::TransitStubTopology>(
+                               net::TransitStubParams::scaled(2, 2, 3)),
+                           net::NetworkConfig{}, quiet_config(), 1};
+  Address a = net::kNullAddress;
+  Address b = net::kNullAddress;
+
+  static overlay::DriverConfig quiet_config() {
+    overlay::DriverConfig cfg;
+    cfg.lookup_rate_per_node = 0.0;
+    cfg.seed = 5;
+    return cfg;
+  }
+
+  SilentPair() {
+    d.attach_app(&sink);
+    d.kill_node(d.add_node());
+    a = d.add_node();
+    b = d.add_node();
+  }
+
+  void send(Address from, Address to, std::uint64_t n) {
+    const auto node = d.app_node(from);
+    auto p = pastry::make_msg<P>(node->pool());
+    p->n = n;
+    node->send_packet(to, p);
+  }
 
   // The packet-accounting identity: sent == lost + delivered +
   // dropped_unbound + dropped_adversarial + in_flight.
-  std::uint64_t accounted() const {
-    return net.packets_lost() + net.packets_delivered() +
-           net.packets_dropped_unbound() +
-           net.packets_dropped_adversarial() + net.packets_in_flight();
+  std::int64_t accounted() const {
+    return static_cast<std::int64_t>(d.packets_lost() + d.packets_delivered() +
+                                     d.packets_dropped_unbound() +
+                                     d.packets_dropped_adversarial()) +
+           d.packets_in_flight();
+  }
+  std::int64_t sent() const {
+    return static_cast<std::int64_t>(d.packets_sent());
   }
 };
 
 TEST(ChaosNetwork, DuplicationKeepsAccountingIdentity) {
-  NetFixture f;
-  const Address a = f.net.attach_random(f.rng);
-  const Address b = f.net.attach_random(f.rng);
-  int got = 0;
-  f.net.bind(b, [&](Address, const net::PacketPtr&) { ++got; });
-  std::uint64_t duplicated = 0;
-  f.net.set_injection_observer([&](FaultKind k) {
-    if (k == FaultKind::kDuplicate) ++duplicated;
-  });
-  f.net.faults().add(
+  SilentPair f;
+  f.d.add_fault_rule(
       FaultRule::duplicate(LinkMatcher::all(), 1.0, milliseconds(5)));
-  for (int i = 0; i < 50; ++i) {
-    f.net.send(a, b, make_refcounted<NetFixture::P>());
-    EXPECT_EQ(f.net.packets_sent(), f.accounted());  // holds mid-flight too
+  for (std::uint64_t i = 0; i < 50; ++i) {
+    f.send(f.a, f.b, i);
+    EXPECT_EQ(f.sent(), f.accounted());  // holds mid-flight too
   }
-  f.sim.run_to_completion();
-  EXPECT_EQ(got, 100);  // every packet delivered twice
-  EXPECT_EQ(f.net.packets_sent(), 100u);  // injected copies are "sent"
-  EXPECT_EQ(f.net.packets_sent(), f.accounted());
-  EXPECT_EQ(duplicated, 50u);
+  f.d.run_for(seconds(1));
+  EXPECT_EQ(f.sink.got, 100);  // every packet delivered twice
+  EXPECT_EQ(f.d.packets_sent(), 100u);  // injected copies are "sent"
+  EXPECT_EQ(f.sent(), f.accounted());
 
   // A later rule that drops the packet drops its copy too: the count of
   // duplicates must still match the copies that went out.
+  f.d.add_fault_rule(FaultRule::loss(LinkMatcher::all(), 0.5));
+  for (std::uint64_t i = 50; i < 250; ++i) f.send(f.a, f.b, i);
+  f.d.run_for(seconds(1));
   std::uint64_t lost = 0;
-  f.net.set_injection_observer([&](FaultKind k) {
-    if (k == FaultKind::kDuplicate) ++duplicated;
-    if (k == FaultKind::kLoss) ++lost;
-  });
-  f.net.faults().add(FaultRule::loss(LinkMatcher::all(), 0.5));
-  for (int i = 0; i < 200; ++i) {
-    f.net.send(a, b, make_refcounted<NetFixture::P>());
+  for (std::uint64_t i = 50; i < 250; ++i) {
+    const auto it = f.sink.arrivals.find(i);
+    if (it == f.sink.arrivals.end()) {
+      ++lost;
+    } else {
+      EXPECT_EQ(it->second, 2) << "packet " << i;
+    }
   }
-  f.sim.run_to_completion();
   EXPECT_GT(lost, 0u);
   EXPECT_LT(lost, 200u);
-  EXPECT_EQ(got, 100 + 2 * static_cast<int>(200 - lost));
-  EXPECT_EQ(duplicated, 50u + (200u - lost));
-  EXPECT_EQ(f.net.packets_sent(), 100u + 200u + (200u - lost));
-  EXPECT_EQ(f.net.packets_sent(), f.accounted());
+  EXPECT_EQ(f.sink.got, 100 + 2 * static_cast<int>(200 - lost));
+  EXPECT_EQ(f.d.packets_sent(), 100u + 200u + (200u - lost));
+  EXPECT_EQ(f.sent(), f.accounted());
+  f.d.finish();  // folds the shards' injection counts into metrics
+  const auto& m = f.d.metrics();
+  EXPECT_EQ(m.fault_injections(FaultKind::kDuplicate), 50u + (200u - lost));
+  EXPECT_EQ(m.fault_injections(FaultKind::kLoss), lost);
 }
 
 TEST(ChaosNetwork, UnboundArrivalsAreCountedNotVanished) {
-  NetFixture f;
-  const Address a = f.net.attach_random(f.rng);
-  const Address b = f.net.attach_random(f.rng);
-  f.net.bind(b, [](Address, const net::PacketPtr&) {});
-  f.net.send(a, b, make_refcounted<NetFixture::P>());
-  f.net.unbind(b);  // receiver dies with the packet in flight
-  f.net.send(a, b, make_refcounted<NetFixture::P>());
-  f.sim.run_to_completion();
-  EXPECT_EQ(f.net.packets_dropped_unbound(), 2u);
-  EXPECT_EQ(f.net.packets_delivered(), 0u);
-  EXPECT_EQ(f.net.packets_sent(), f.accounted());
+  SilentPair f;
+  f.send(f.a, f.b, 1);
+  f.d.kill_node(f.b);  // receiver dies with the packet in flight
+  f.send(f.a, f.b, 2);
+  f.d.run_for(seconds(1));
+  EXPECT_EQ(f.d.packets_dropped_unbound(), 2u);
+  EXPECT_EQ(f.d.packets_delivered(), 0u);
+  EXPECT_EQ(f.sent(), f.accounted());
 }
 
 TEST(ChaosNetwork, PartitionCoexistsWithOtherFaultRules) {
   // A partition is one rule on the stack: installing and healing it must
   // leave the other rules alone.
-  NetFixture f;
-  const Address a = f.net.attach_random(f.rng);
-  const Address b = f.net.attach_random(f.rng);
-  f.net.faults().add(
+  SilentPair f;
+  f.d.add_fault_rule(
       FaultRule::delay_spike(LinkMatcher::all(), milliseconds(100)));
-  f.net.partition({a});
-  EXPECT_EQ(f.net.faults().rule_count(), 2u);
-  int got = 0;
-  f.net.bind(b, [&](Address, const net::PacketPtr&) { ++got; });
-  f.net.send(a, b, make_refcounted<NetFixture::P>());
-  f.sim.run_to_completion();
-  EXPECT_EQ(got, 0);  // partition drops the cross-cut packet
-  f.net.heal();
-  EXPECT_EQ(f.net.faults().rule_count(), 1u);  // delay spike survives heal
-  const SimTime before = f.sim.now();
-  f.net.send(a, b, make_refcounted<NetFixture::P>());
-  f.sim.run_to_completion();
-  EXPECT_EQ(got, 1);
-  EXPECT_GE(f.sim.now() - before, f.net.delay(a, b) + milliseconds(100));
-  EXPECT_EQ(f.net.packets_sent(), f.accounted());
+  const auto cut =
+      f.d.add_fault_rule(FaultRule::partition(LinkMatcher::cross({f.a})));
+  EXPECT_EQ(f.d.fault_plan().rule_count(), 2u);
+  f.send(f.a, f.b, 1);
+  f.d.run_for(seconds(1));
+  EXPECT_EQ(f.sink.got, 0);  // partition drops the cross-cut packet
+  f.d.remove_fault_rule(cut);
+  EXPECT_EQ(f.d.fault_plan().rule_count(), 1u);  // delay spike survives heal
+  const SimTime before = f.d.now();
+  f.send(f.a, f.b, 2);
+  f.d.run_for(seconds(1));
+  EXPECT_EQ(f.sink.got, 1);
+  EXPECT_GE(f.sink.arrived - before, f.d.delay(f.a, f.b) + milliseconds(100));
+  EXPECT_EQ(f.sent(), f.accounted());
 }
 
 TEST(ChaosNetwork, StallDefersDeliveryUntilRelease) {
-  NetFixture f;
-  const Address a = f.net.attach_random(f.rng);
-  const Address b = f.net.attach_random(f.rng);
-  SimTime arrived = kTimeNever;
-  f.net.bind(b, [&](Address, const net::PacketPtr&) { arrived = f.sim.now(); });
-  f.net.faults().add(FaultRule::stall({b}, 0, seconds(5)));
-  f.net.send(a, b, make_refcounted<NetFixture::P>());
-  f.sim.run_to_completion();
+  SilentPair f;
+  f.d.add_fault_rule(FaultRule::stall({f.b}, 0, seconds(5)));
+  f.send(f.a, f.b, 1);
+  f.d.run_for(seconds(10));
   // The endpoint stayed bound: the packet is delivered, but only after
   // the stall window — the gray-failure signature.
-  EXPECT_EQ(arrived, seconds(5));
-  EXPECT_EQ(f.net.packets_delivered(), 1u);
-  EXPECT_EQ(f.net.packets_sent(), f.accounted());
+  EXPECT_EQ(f.sink.arrived, seconds(5));
+  EXPECT_EQ(f.d.packets_delivered(), 1u);
+  EXPECT_EQ(f.sent(), f.accounted());
 }
 
 TEST(ChaosNetwork, DevouredPacketsKeepAccountingIdentity) {
-  // An adversarial sender "transmits" packets it actually eats: they
+  // An adversarial sender "transmits" lookups it actually eats: they
   // count as sent and as adversarially dropped, never as delivered or
-  // lost, and the identity holds throughout.
-  NetFixture f;
-  const Address a = f.net.attach_random(f.rng);
-  const Address b = f.net.attach_random(f.rng);
-  int got = 0;
-  f.net.bind(b, [&](Address, const net::PacketPtr&) { ++got; });
-  f.net.send(a, b, make_refcounted<NetFixture::P>());
-  f.net.devour(a, b, make_refcounted<NetFixture::P>());
-  f.net.devour(a, b, make_refcounted<NetFixture::P>());
-  EXPECT_EQ(f.net.packets_sent(), f.accounted());  // holds mid-flight
-  f.sim.run_to_completion();
-  EXPECT_EQ(got, 1);  // only the honest send arrives
-  EXPECT_EQ(f.net.packets_sent(), 3u);
-  EXPECT_EQ(f.net.packets_dropped_adversarial(), 2u);
-  EXPECT_EQ(f.net.packets_delivered(), 1u);
-  EXPECT_EQ(f.net.packets_lost(), 0u);
-  EXPECT_EQ(f.net.packets_sent(), f.accounted());
+  // lost, and the identity holds throughout. Two joined nodes, both
+  // droppers; each devours a lookup the moment it routes it.
+  Sink sink;
+  overlay::ShardedDriver d(std::make_shared<net::TransitStubTopology>(
+                               net::TransitStubParams::scaled(2, 2, 3)),
+                           net::NetworkConfig{}, SilentPair::quiet_config(),
+                           1);
+  d.attach_app(&sink);
+  const Address a = d.add_node();
+  d.run_for(seconds(2));
+  const Address b = d.add_node();
+  d.run_for(minutes(1));
+  overlay::ShardedAdversaryConfig adv;
+  adv.behavior = overlay::AdversaryBehavior::kDrop;
+  adv.fraction = 1.0;
+  adv.seed = 3;
+  d.set_adversary(adv);
+  const NodeId key = d.node(b)->descriptor().id;
+  const std::uint64_t sent0 = d.packets_sent();
+  std::vector<std::uint64_t> ids;
+  for (int i = 0; i < 2; ++i) {
+    ids.push_back(d.issue_lookup(a, key));
+    d.track_lookup(ids.back());
+  }
+  const auto node = d.app_node(a);
+  node->send_packet(b, pastry::make_msg<P>(node->pool()));
+  const auto accounted = [&d] {
+    return static_cast<std::int64_t>(d.packets_lost() + d.packets_delivered() +
+                                     d.packets_dropped_unbound() +
+                                     d.packets_dropped_adversarial()) +
+           d.packets_in_flight();
+  };
+  EXPECT_EQ(static_cast<std::int64_t>(d.packets_sent()),
+            accounted());  // holds mid-flight
+  d.run_for(milliseconds(500));
+  EXPECT_EQ(sink.got, 1);  // only the honest send arrives
+  EXPECT_EQ(d.packets_sent() - sent0, 3u);
+  EXPECT_EQ(d.packets_dropped_adversarial(), 2u);
+  EXPECT_EQ(d.packets_lost(), 0u);
+  for (const auto id : ids) EXPECT_FALSE(d.lookup_verdict(id).has_value());
+  EXPECT_EQ(static_cast<std::int64_t>(d.packets_sent()), accounted());
 }
 
 // ------------------------------------------------- harness scenario runs

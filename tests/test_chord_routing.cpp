@@ -130,10 +130,12 @@ TEST(ChordRouting, DeadBootstrapStrandsJoinerButNotTheRing) {
   // overkill; instead kill the whole ring's cheapest proxy — the node the
   // oracle would have returned is unknown here, so emulate by cutting the
   // joiner off entirely for a while.
-  d.network().partition({stranded});
+  auto& faults = d.network().faults();
+  const auto cut = faults.add(net::FaultRule::partition(
+      net::LinkMatcher::cross({stranded}), d.sim().now()));
   d.run_for(minutes(3));
   EXPECT_FALSE(d.node(stranded)->joined());
-  d.network().heal();
+  faults.remove(cut);
   // The ring itself kept working throughout.
   for (int i = 0; i < 20; ++i) {
     const auto src = d.oracle().random_member(d.rng());

@@ -9,7 +9,6 @@
 #include <memory>
 
 #include "net/transit_stub.hpp"
-#include "overlay/driver.hpp"
 #include "overlay/sharded_driver.hpp"
 #include "trace/churn_generators.hpp"
 
@@ -17,7 +16,7 @@ namespace mspastry {
 namespace {
 
 using overlay::DriverConfig;
-using overlay::OverlayDriver;
+using overlay::ShardedDriver;
 
 std::shared_ptr<net::Topology> topo() {
   return std::make_shared<net::TransitStubTopology>(
@@ -41,7 +40,7 @@ TEST_P(ParamSweepTest, StaticOverlayRoutesCorrectly) {
   cfg.seed = 500 + static_cast<std::uint64_t>(b * 100 + l);
   cfg.pastry.b = b;
   cfg.pastry.l = l;
-  OverlayDriver d(topo(), {}, cfg);
+  ShardedDriver d(topo(), {}, cfg, 1);
   for (int i = 0; i < 50; ++i) {
     d.add_node();
     d.run_for(seconds(2));
@@ -68,7 +67,7 @@ TEST_P(ParamSweepTest, SurvivesBurstOfFailures) {
   cfg.seed = 600 + static_cast<std::uint64_t>(b * 100 + l);
   cfg.pastry.b = b;
   cfg.pastry.l = l;
-  OverlayDriver d(topo(), {}, cfg);
+  ShardedDriver d(topo(), {}, cfg, 1);
   for (int i = 0; i < 40; ++i) {
     d.add_node();
     d.run_for(seconds(2));

@@ -8,19 +8,19 @@
 #include <memory>
 
 #include "net/transit_stub.hpp"
-#include "overlay/driver.hpp"
+#include "overlay/sharded_driver.hpp"
 
 namespace mspastry {
 namespace {
 
 using overlay::DriverConfig;
-using overlay::OverlayDriver;
+using overlay::ShardedDriver;
 
 struct Settled {
   std::shared_ptr<net::Topology> topo =
       std::make_shared<net::TransitStubTopology>(
           net::TransitStubParams::scaled(4, 3, 4));
-  std::unique_ptr<OverlayDriver> driver;
+  std::unique_ptr<ShardedDriver> driver;
 
   Settled(std::uint64_t seed, int nodes, bool pns = true) {
     DriverConfig cfg;
@@ -28,7 +28,8 @@ struct Settled {
     cfg.warmup = 0;
     cfg.seed = seed;
     cfg.pastry.pns = pns;
-    driver = std::make_unique<OverlayDriver>(topo, net::NetworkConfig{}, cfg);
+    driver =
+        std::make_unique<ShardedDriver>(topo, net::NetworkConfig{}, cfg, 1);
     for (int i = 0; i < nodes; ++i) {
       driver->add_node();
       driver->run_for(seconds(2));
@@ -105,7 +106,7 @@ TEST(Convergence, PnsMakesTableEntriesCloserThanRandom) {
     for (const auto a : s.driver->live_addresses()) {
       s.driver->node(a)->routing_table().for_each(
           [&](int, int, const pastry::RoutingTable::Entry& e) {
-            sum += to_seconds(s.driver->network().rtt(a, e.node.addr));
+            sum += to_seconds(2 * s.driver->delay(a, e.node.addr));
             ++n;
           });
     }
@@ -119,7 +120,7 @@ TEST(Convergence, PnsMakesTableEntriesCloserThanRandom) {
       const auto a = addrs[s.driver->rng().uniform_index(addrs.size())];
       const auto b = addrs[s.driver->rng().uniform_index(addrs.size())];
       if (a == b) continue;
-      sum += to_seconds(s.driver->network().rtt(a, b));
+      sum += to_seconds(2 * s.driver->delay(a, b));
       ++n;
     }
     return sum / n;

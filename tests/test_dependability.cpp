@@ -10,7 +10,6 @@
 #include <memory>
 
 #include "net/transit_stub.hpp"
-#include "overlay/driver.hpp"
 #include "overlay/sharded_driver.hpp"
 #include "trace/churn_generators.hpp"
 
@@ -18,7 +17,7 @@ namespace mspastry {
 namespace {
 
 using overlay::DriverConfig;
-using overlay::OverlayDriver;
+using overlay::ShardedDriver;
 
 std::shared_ptr<net::Topology> topo() {
   return std::make_shared<net::TransitStubTopology>(
@@ -159,7 +158,7 @@ TEST(Dependability, FixedTrtIgnoresTarget) {
   cfg.pastry.self_tuning = false;
   cfg.pastry.t_rt_fixed = seconds(20);
   net::NetworkConfig ncfg;
-  OverlayDriver d(topo(), ncfg, cfg);
+  ShardedDriver d(topo(), ncfg, cfg, 1);
   d.add_node();
   d.run_for(seconds(5));
   d.add_node();
@@ -187,7 +186,7 @@ TEST(Dependability, LookupsCanOptOutOfAcks) {
   cfg.lookup_rate_per_node = 0.0;
   cfg.warmup = 0;  // this test runs only a few simulated minutes
   cfg.lookups_want_ack = false;
-  OverlayDriver d(topo(), {}, cfg);
+  ShardedDriver d(topo(), {}, cfg, 1);
   for (int i = 0; i < 30; ++i) {
     d.add_node();
     d.run_for(seconds(2));
@@ -221,7 +220,7 @@ TEST(Dependability, SmallRingJoinersActivateUnderHeavyLoss) {
     cfg.seed = seed;
     net::NetworkConfig ncfg;
     ncfg.loss_rate = 0.20;
-    OverlayDriver d(ts, ncfg, cfg);
+    ShardedDriver d(ts, ncfg, cfg, 1);
     std::map<net::Address, int> inactive_with_leaf_s;
     int longest_s = 0;
     const auto tick = [&] {

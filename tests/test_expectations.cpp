@@ -14,7 +14,7 @@
 #include "net/fault_plan.hpp"
 #include "net/transit_stub.hpp"
 #include "overlay/chaos.hpp"
-#include "overlay/driver.hpp"
+#include "overlay/sharded_driver.hpp"
 
 namespace mspastry {
 namespace {
@@ -25,7 +25,7 @@ using obs::FlightRecorder;
 using obs::ObsConfig;
 using obs::TraceDomain;
 using overlay::DriverConfig;
-using overlay::OverlayDriver;
+using overlay::ShardedDriver;
 
 ObsConfig obs_on() {
   ObsConfig cfg;
@@ -249,7 +249,7 @@ std::shared_ptr<net::Topology> small_topology() {
 }
 
 struct LiveFixture {
-  std::unique_ptr<OverlayDriver> driver;
+  std::unique_ptr<ShardedDriver> driver;
 
   explicit LiveFixture(std::uint64_t seed, int nodes, DriverConfig cfg = {}) {
     cfg.lookup_rate_per_node = 0.0;
@@ -257,7 +257,7 @@ struct LiveFixture {
     cfg.seed = seed;
     cfg.obs = obs_on();
     net::NetworkConfig ncfg;
-    driver = std::make_unique<OverlayDriver>(small_topology(), ncfg, cfg);
+    driver = std::make_unique<ShardedDriver>(small_topology(), ncfg, cfg, 1);
     for (int i = 0; i < nodes; ++i) {
       driver->add_node();
       driver->run_for(seconds(2));
@@ -302,8 +302,8 @@ TEST(Expectations, MutationSuppressedRerouteIsCaughtByTheChecker) {
   const auto pick = f.driver->oracle().random_active(f.driver->rng());
   const net::Address victim = pick->second;
   const NodeId victim_key = pick->first;
-  const SimTime t0 = f.driver->sim().now();
-  f.driver->network().faults().add(
+  const SimTime t0 = f.driver->now();
+  f.driver->add_fault_rule(
       net::FaultRule::stall({victim}, t0, t0 + seconds(10)));
   for (int i = 0; i < 8; ++i) {
     net::Address from = f.random_node();
@@ -326,8 +326,8 @@ TEST(Expectations, SameFaultWithRerouteEnabledStaysClean) {
   const auto pick = f.driver->oracle().random_active(f.driver->rng());
   const net::Address victim = pick->second;
   const NodeId victim_key = pick->first;
-  const SimTime t0 = f.driver->sim().now();
-  f.driver->network().faults().add(
+  const SimTime t0 = f.driver->now();
+  f.driver->add_fault_rule(
       net::FaultRule::stall({victim}, t0, t0 + seconds(10)));
   for (int i = 0; i < 8; ++i) {
     net::Address from = f.random_node();

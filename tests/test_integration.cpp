@@ -5,7 +5,6 @@
 #include "net/corpnet.hpp"
 #include "net/hier_as.hpp"
 #include "net/transit_stub.hpp"
-#include "overlay/driver.hpp"
 #include "overlay/sharded_driver.hpp"
 #include "trace/churn_generators.hpp"
 
@@ -13,7 +12,7 @@ namespace mspastry {
 namespace {
 
 using overlay::DriverConfig;
-using overlay::OverlayDriver;
+using overlay::ShardedDriver;
 
 std::shared_ptr<net::Topology> topo() {
   return std::make_shared<net::TransitStubTopology>(
@@ -21,7 +20,7 @@ std::shared_ptr<net::Topology> topo() {
 }
 
 /// Build an overlay of `n` nodes, settled.
-void grow(OverlayDriver& d, int n) {
+void grow(ShardedDriver& d, int n) {
   for (int i = 0; i < n; ++i) {
     d.add_node();
     d.run_for(seconds(2));
@@ -34,7 +33,7 @@ TEST(Integration, StaticOverlayDeliversEverythingToOracleRoot) {
   cfg.lookup_rate_per_node = 0.0;
   cfg.warmup = 0;
   cfg.seed = 21;
-  OverlayDriver d(topo(), {}, cfg);
+  ShardedDriver d(topo(), {}, cfg, 1);
   grow(d, 80);
   for (int i = 0; i < 400; ++i) {
     const auto src = d.oracle().random_active(d.rng());
@@ -55,7 +54,7 @@ TEST(Integration, RdpIsReasonableWithPns) {
   cfg.lookup_rate_per_node = 0.0;
   cfg.warmup = 0;
   cfg.seed = 22;
-  OverlayDriver d(topo(), {}, cfg);
+  ShardedDriver d(topo(), {}, cfg, 1);
   grow(d, 80);
   for (int i = 0; i < 300; ++i) {
     const auto src = d.oracle().random_active(d.rng());
@@ -75,7 +74,7 @@ TEST(Integration, SurvivesSingleNodeCrash) {
   cfg.lookup_rate_per_node = 0.0;
   cfg.warmup = 0;
   cfg.seed = 23;
-  OverlayDriver d(topo(), {}, cfg);
+  ShardedDriver d(topo(), {}, cfg, 1);
   grow(d, 40);
   const auto victim = d.live_addresses().front();
   const NodeId victim_id = d.node(victim)->descriptor().id;
@@ -101,7 +100,7 @@ TEST(Integration, PerHopAcksRouteAroundUndetectedFailure) {
   cfg.lookup_rate_per_node = 0.0;
   cfg.warmup = 0;
   cfg.seed = 24;
-  OverlayDriver d(topo(), {}, cfg);
+  ShardedDriver d(topo(), {}, cfg, 1);
   grow(d, 40);
   const auto victim = d.live_addresses()[5];
   const NodeId victim_id = d.node(victim)->descriptor().id;
@@ -122,7 +121,7 @@ TEST(Integration, MassFailureRepairsLeafSets) {
   cfg.lookup_rate_per_node = 0.0;
   cfg.warmup = 0;
   cfg.seed = 25;
-  OverlayDriver d(topo(), {}, cfg);
+  ShardedDriver d(topo(), {}, cfg, 1);
   grow(d, 60);
   // Kill half the overlay at once.
   auto addrs = d.live_addresses();
@@ -179,7 +178,7 @@ TEST(Integration, WorksOnMercatorLikeTopology) {
   cfg.seed = 27;
   net::NetworkConfig ncfg;
   ncfg.lan_delay = 0;  // Mercator attaches end nodes directly
-  OverlayDriver d(std::make_shared<net::HierASTopology>(p), ncfg, cfg);
+  ShardedDriver d(std::make_shared<net::HierASTopology>(p), ncfg, cfg, 1);
   grow(d, 40);
   for (int i = 0; i < 100; ++i) {
     const auto src = d.oracle().random_active(d.rng());
@@ -197,8 +196,8 @@ TEST(Integration, WorksOnCorpNetTopology) {
   cfg.lookup_rate_per_node = 0.0;
   cfg.warmup = 0;
   cfg.seed = 28;
-  OverlayDriver d(std::make_shared<net::CorpNetTopology>(net::CorpNetParams{}),
-                  {}, cfg);
+  ShardedDriver d(std::make_shared<net::CorpNetTopology>(net::CorpNetParams{}),
+                  {}, cfg, 1);
   grow(d, 40);
   for (int i = 0; i < 100; ++i) {
     const auto src = d.oracle().random_active(d.rng());
@@ -234,7 +233,7 @@ TEST(Integration, LookupHopCountIsLogarithmic) {
   cfg.lookup_rate_per_node = 0.0;
   cfg.warmup = 0;
   cfg.seed = 30;
-  OverlayDriver d(topo(), {}, cfg);
+  ShardedDriver d(topo(), {}, cfg, 1);
   grow(d, 100);
   for (int i = 0; i < 200; ++i) {
     const auto src = d.oracle().random_active(d.rng());

@@ -8,13 +8,13 @@
 
 #include "mock_env.hpp"
 #include "net/transit_stub.hpp"
-#include "overlay/driver.hpp"
+#include "overlay/sharded_driver.hpp"
 
 namespace mspastry {
 namespace {
 
 using overlay::DriverConfig;
-using overlay::OverlayDriver;
+using overlay::ShardedDriver;
 using pastry::MsgType;
 using testing::nd;
 using testing::NodeHarness;
@@ -72,14 +72,15 @@ struct Fixture {
   std::shared_ptr<net::Topology> topo =
       std::make_shared<net::TransitStubTopology>(
           net::TransitStubParams::scaled(3, 3, 4));
-  std::unique_ptr<OverlayDriver> driver;
+  std::unique_ptr<ShardedDriver> driver;
 
   explicit Fixture(std::uint64_t seed, int nodes) {
     DriverConfig cfg;
     cfg.lookup_rate_per_node = 0.0;
     cfg.warmup = 0;
     cfg.seed = seed;
-    driver = std::make_unique<OverlayDriver>(topo, net::NetworkConfig{}, cfg);
+    driver =
+        std::make_unique<ShardedDriver>(topo, net::NetworkConfig{}, cfg, 1);
     for (int i = 0; i < nodes; ++i) {
       driver->add_node();
       driver->run_for(seconds(2));

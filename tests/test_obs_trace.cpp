@@ -16,7 +16,7 @@
 #include "net/transit_stub.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/trace_dump.hpp"
-#include "overlay/driver.hpp"
+#include "overlay/sharded_driver.hpp"
 
 namespace mspastry {
 namespace {
@@ -26,7 +26,7 @@ using obs::FlightRecorder;
 using obs::ObsConfig;
 using obs::TraceDomain;
 using overlay::DriverConfig;
-using overlay::OverlayDriver;
+using overlay::ShardedDriver;
 
 ObsConfig obs_on(std::size_t ring_capacity = 64) {
   ObsConfig cfg;
@@ -292,7 +292,7 @@ struct ObsFixture {
   std::shared_ptr<net::Topology> topo =
       std::make_shared<net::TransitStubTopology>(
           net::TransitStubParams::scaled(3, 3, 4));
-  std::unique_ptr<OverlayDriver> driver;
+  std::unique_ptr<ShardedDriver> driver;
 
   ObsFixture(std::uint64_t seed, int nodes,
              std::size_t ring_capacity = 4096) {
@@ -302,7 +302,7 @@ struct ObsFixture {
     cfg.seed = seed;
     cfg.obs = obs_on(ring_capacity);
     net::NetworkConfig ncfg;
-    driver = std::make_unique<OverlayDriver>(topo, ncfg, cfg);
+    driver = std::make_unique<ShardedDriver>(topo, ncfg, cfg, 1);
     for (int i = 0; i < nodes; ++i) {
       driver->add_node();
       driver->run_for(seconds(2));
@@ -355,8 +355,8 @@ TEST(ObsLive, TraceIdSurvivesRetransmitAndRerouteAroundAStalledNode) {
   const auto pick = f.driver->oracle().random_active(f.driver->rng());
   const net::Address victim = pick->second;
   const NodeId victim_key = pick->first;
-  const SimTime t0 = f.driver->sim().now();
-  f.driver->network().faults().add(
+  const SimTime t0 = f.driver->now();
+  f.driver->add_fault_rule(
       net::FaultRule::stall({victim}, t0, t0 + seconds(8)));
 
   std::vector<std::uint64_t> ids;
@@ -386,8 +386,8 @@ TEST(ObsLive, TraceIdSurvivesRetransmitAndRerouteAroundAStalledNode) {
 
 TEST(ObsLive, InjectedDuplicatesShowUpAsDuplicateArrivals) {
   ObsFixture f(303, 16);
-  const SimTime t0 = f.driver->sim().now();
-  f.driver->network().faults().add(net::FaultRule::duplicate(
+  const SimTime t0 = f.driver->now();
+  f.driver->add_fault_rule(net::FaultRule::duplicate(
       net::LinkMatcher::all(), 1.0, milliseconds(5), t0, t0 + seconds(15)));
 
   std::vector<std::uint64_t> ids;
@@ -441,7 +441,7 @@ TEST(ObsLive, DisabledByDefaultAndCreatesNoDomain) {
   cfg.warmup = 0;
   cfg.seed = 305;
   net::NetworkConfig ncfg;
-  OverlayDriver driver(topo, ncfg, cfg);
+  ShardedDriver driver(topo, ncfg, cfg, 1);
   for (int i = 0; i < 8; ++i) {
     driver.add_node();
     driver.run_for(seconds(2));

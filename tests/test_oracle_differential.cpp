@@ -15,14 +15,14 @@
 
 #include "net/fault_plan.hpp"
 #include "net/transit_stub.hpp"
-#include "overlay/driver.hpp"
+#include "overlay/sharded_driver.hpp"
 #include "pastry/node.hpp"
 
 namespace mspastry {
 namespace {
 
 using overlay::DriverConfig;
-using overlay::OverlayDriver;
+using overlay::ShardedDriver;
 
 // --- Full-rescan reference (the pre-incremental algorithms) -----------------
 
@@ -32,7 +32,7 @@ struct RingEntry {
 };
 
 // Ground truth rebuilt from scratch: every live *active* node, sorted.
-std::vector<RingEntry> rescan_ring(OverlayDriver& d) {
+std::vector<RingEntry> rescan_ring(ShardedDriver& d) {
   std::vector<RingEntry> ring;
   for (const net::Address a : d.live_addresses()) {
     const auto* n = d.node(a);
@@ -59,7 +59,7 @@ std::optional<RingEntry> rescan_successor(const std::vector<RingEntry>& ring,
 }
 
 // The old ChaosHarness::ring_consistent full scan, verbatim semantics.
-bool rescan_ring_consistent(OverlayDriver& d,
+bool rescan_ring_consistent(ShardedDriver& d,
                             const std::vector<RingEntry>& ring) {
   std::size_t active_nodes = 0;
   for (const net::Address a : d.live_addresses()) {
@@ -92,7 +92,7 @@ struct Digests {
 
 // Compare the incremental oracle against the rescan reference at the
 // current instant, and fold both verdict streams into the digests.
-void check_step(OverlayDriver& d, Digests& dig, int step) {
+void check_step(ShardedDriver& d, Digests& dig, int step) {
   const auto ring = rescan_ring(d);
 
   // successor_of must agree for every active id (and for probe keys that
@@ -131,7 +131,7 @@ TEST(OracleDifferential, RandomChurnAndFaultsMatchFullRescan) {
   cfg.warmup = 0;
   cfg.seed = 0xd1ff;
   auto driver =
-      std::make_unique<OverlayDriver>(topo, net::NetworkConfig{}, cfg);
+      std::make_unique<ShardedDriver>(topo, net::NetworkConfig{}, cfg, 1);
   Rng script(0x5c217);
 
   // Bootstrap a small overlay.
@@ -147,18 +147,18 @@ TEST(OracleDifferential, RandomChurnAndFaultsMatchFullRescan) {
   // A mid-run fault window stirs leaf sets: 20% uniform loss plus one
   // flapping victim. Mismatch windows (false negatives, repair traffic)
   // must be reported identically by both implementations.
-  const SimTime f0 = driver->sim().now() + seconds(60);
+  const SimTime f0 = driver->now() + seconds(60);
   const SimTime f1 = f0 + seconds(90);
   {
     auto loss = net::FaultRule::loss(net::LinkMatcher::all(), 0.2, f0, f1);
     loss.seed = script.next_u64();
-    driver->network().faults().add(std::move(loss));
+    driver->add_fault_rule(loss);
     const auto addrs = driver->live_addresses();
     auto flap = net::FaultRule::flap(
         net::LinkMatcher::endpoint({addrs[script.uniform_index(addrs.size())]}),
         seconds(10), 0.5, f0, f1);
     flap.seed = script.next_u64();
-    driver->network().faults().add(std::move(flap));
+    driver->add_fault_rule(flap);
   }
 
   for (int step = 0; step < 220; ++step) {

@@ -8,31 +8,39 @@
 #include <memory>
 
 #include "net/transit_stub.hpp"
-#include "overlay/driver.hpp"
+#include "overlay/sharded_driver.hpp"
 
 namespace mspastry {
 namespace {
 
 using overlay::DriverConfig;
-using overlay::OverlayDriver;
+using overlay::ShardedDriver;
 
 struct Fixture {
   std::shared_ptr<net::Topology> topo =
       std::make_shared<net::TransitStubTopology>(
           net::TransitStubParams::scaled(3, 3, 4));
-  std::unique_ptr<OverlayDriver> driver;
+  std::unique_ptr<ShardedDriver> driver;
 
   explicit Fixture(std::uint64_t seed, int nodes) {
     DriverConfig cfg;
     cfg.lookup_rate_per_node = 0.0;
     cfg.warmup = 0;
     cfg.seed = seed;
-    driver = std::make_unique<OverlayDriver>(topo, net::NetworkConfig{}, cfg);
+    driver =
+        std::make_unique<ShardedDriver>(topo, net::NetworkConfig{}, cfg, 1);
     for (int i = 0; i < nodes; ++i) {
       driver->add_node();
       driver->run_for(seconds(2));
     }
     driver->run_for(minutes(3));
+  }
+
+  /// Bidirectionally cut `group` off from everyone else, from now on.
+  net::FaultPlan::RuleId partition(const std::vector<net::Address>& group) {
+    return driver->add_fault_rule(
+        net::FaultRule::partition(net::LinkMatcher::cross(group),
+                                  driver->now()));
   }
 };
 
@@ -40,14 +48,14 @@ TEST(NetworkPartition, FilterDropsCrossTraffic) {
   Fixture f(111, 10);
   const auto addrs = f.driver->live_addresses();
   std::vector<net::Address> side_a(addrs.begin(), addrs.begin() + 5);
-  f.driver->network().partition(side_a);
-  const auto lost_before = f.driver->network().packets_lost();
+  const auto cut = f.partition(side_a);
+  const auto lost_before = f.driver->packets_lost();
   // Cross-side lookup: the transmission is dropped by the filter.
   f.driver->issue_lookup(side_a[0],
                          f.driver->node(addrs[7])->descriptor().id);
   f.driver->run_for(seconds(2));
-  EXPECT_GT(f.driver->network().packets_lost(), lost_before);
-  f.driver->network().heal();
+  EXPECT_GT(f.driver->packets_lost(), lost_before);
+  f.driver->remove_fault_rule(cut);
 }
 
 TEST(NetworkPartition, MinoritySideKeepsServingItsOwnKeys) {
@@ -55,21 +63,19 @@ TEST(NetworkPartition, MinoritySideKeepsServingItsOwnKeys) {
   auto addrs = f.driver->live_addresses();
   std::sort(addrs.begin(), addrs.end());
   std::vector<net::Address> minority(addrs.begin(), addrs.begin() + 8);
-  f.driver->network().partition(minority);
+  const auto cut = f.partition(minority);
   // Let failure detection tear the ring apart along the cut.
   f.driver->run_for(minutes(4));
   // A lookup from a minority node for a key owned by another minority
-  // node must still be delivered to it.
+  // node must still be delivered to it (the oracle root: it is alive).
   const NodeId key = f.driver->node(minority[3])->descriptor().id;
-  bool delivered_at_owner = false;
-  f.driver->on_app_deliver = [&](net::Address self,
-                                 const pastry::LookupMsg& m) {
-    if (m.key == key && self == minority[3]) delivered_at_owner = true;
-  };
-  f.driver->issue_lookup(minority[1], key);
+  ASSERT_EQ(f.driver->oracle().root_of(key), minority[3]);
+  const auto id = f.driver->issue_lookup(minority[1], key);
+  f.driver->track_lookup(id);
   f.driver->run_for(minutes(1));
+  const bool delivered_at_owner = f.driver->lookup_verdict(id) == true;
   EXPECT_TRUE(delivered_at_owner);
-  f.driver->network().heal();
+  f.driver->remove_fault_rule(cut);
 }
 
 TEST(NetworkPartition, MinorityRejoinAfterHealRestoresConsistency) {
@@ -81,9 +87,9 @@ TEST(NetworkPartition, MinorityRejoinAfterHealRestoresConsistency) {
   Fixture f(113, 30);
   auto addrs = f.driver->live_addresses();
   std::vector<net::Address> side_a(addrs.begin(), addrs.begin() + 8);
-  f.driver->network().partition(side_a);
+  const auto cut = f.partition(side_a);
   f.driver->run_for(minutes(5));  // both sides repair around the cut
-  f.driver->network().heal();
+  f.driver->remove_fault_rule(cut);
   // Minority nodes restart: crash them and start replacements (which
   // bootstrap through the driver's global rendezvous, as a deployment's
   // bootstrap service would).
@@ -119,34 +125,36 @@ TEST(NetworkPartition, MinorityRejoinAfterHealRestoresConsistency) {
   EXPECT_EQ(f.driver->metrics().lookups_delivered_incorrect(), 0u);
   EXPECT_EQ(f.driver->metrics().lookups_lost(), 0u);
   // Packet accounting stayed exact through partition, kills, and rejoin.
-  const auto& net = f.driver->network();
-  EXPECT_EQ(net.packets_sent(),
-            net.packets_lost() + net.packets_delivered() +
-                net.packets_dropped_unbound() + net.packets_in_flight());
+  const auto& d = *f.driver;
+  EXPECT_EQ(static_cast<std::int64_t>(d.packets_sent()),
+            static_cast<std::int64_t>(d.packets_lost() + d.packets_delivered() +
+                                      d.packets_dropped_unbound()) +
+                d.packets_in_flight());
 }
 
 TEST(NetworkPartition, PartitionComposesWithInstalledFaultRules) {
-  // partition()/heal() ride the rule stack now: installing and healing a
-  // partition must not disturb other injected faults, and the partition
-  // drop is counted under kPartition.
+  // A partition is one rule on the stack: installing and healing it must
+  // not disturb other injected faults, and the partition drop is counted
+  // under kPartition.
   Fixture f(114, 10);
-  auto& net = f.driver->network();
-  net.faults().add(net::FaultRule::loss(net::LinkMatcher::all(), 0.01));
+  f.driver->add_fault_rule(
+      net::FaultRule::loss(net::LinkMatcher::all(), 0.01));
   const auto addrs = f.driver->live_addresses();
   std::vector<net::Address> side_a(addrs.begin(), addrs.begin() + 5);
-  net.partition(side_a);
-  EXPECT_EQ(net.faults().rule_count(), 2u);
+  const auto cut = f.partition(side_a);
+  EXPECT_EQ(f.driver->fault_plan().rule_count(), 2u);
   const auto cut_before =
       f.driver->metrics().fault_injections(net::FaultKind::kPartition);
   f.driver->issue_lookup(side_a[0],
                          f.driver->node(addrs[7])->descriptor().id);
   f.driver->run_for(seconds(2));
+  EXPECT_TRUE(f.driver->remove_fault_rule(cut));
+  EXPECT_EQ(f.driver->fault_plan().rule_count(), 1u);  // loss rule survives
+  EXPECT_FALSE(f.driver->remove_fault_rule(cut));      // idempotent
+  EXPECT_EQ(f.driver->fault_plan().rule_count(), 1u);
+  f.driver->finish();  // folds the shards' injection counts into metrics
   EXPECT_GT(f.driver->metrics().fault_injections(net::FaultKind::kPartition),
             cut_before);
-  net.heal();
-  EXPECT_EQ(net.faults().rule_count(), 1u);  // the loss rule survives
-  net.heal();                                // idempotent
-  EXPECT_EQ(net.faults().rule_count(), 1u);
 }
 
 }  // namespace

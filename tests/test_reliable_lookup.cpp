@@ -5,22 +5,21 @@
 #include <memory>
 
 #include "net/transit_stub.hpp"
-#include "overlay/driver.hpp"
+#include "overlay/sharded_driver.hpp"
 #include "trace/churn_generators.hpp"
 
 namespace mspastry {
 namespace {
 
 using overlay::DriverConfig;
-using overlay::OverlayDriver;
+using overlay::ShardedDriver;
 
 struct Fixture {
   std::shared_ptr<net::Topology> topo =
       std::make_shared<net::TransitStubTopology>(
           net::TransitStubParams::scaled(3, 3, 4));
-  std::unique_ptr<OverlayDriver> driver;
-  std::unique_ptr<apps::AppMux> mux;
-  std::unique_ptr<apps::ReliableLookupService> rel;
+  std::unique_ptr<apps::ReliableLookupService> rel;  // outlives the driver
+  std::unique_ptr<ShardedDriver> driver;
 
   Fixture(std::uint64_t seed, int nodes, double loss = 0.0,
           apps::ReliableLookupService::Params params = {}) {
@@ -30,10 +29,9 @@ struct Fixture {
     cfg.seed = seed;
     net::NetworkConfig ncfg;
     ncfg.loss_rate = loss;
-    driver = std::make_unique<OverlayDriver>(topo, ncfg, cfg);
-    mux = std::make_unique<apps::AppMux>(*driver);
-    rel = std::make_unique<apps::ReliableLookupService>(*driver, params);
-    mux->attach(*rel);
+    driver = std::make_unique<ShardedDriver>(topo, ncfg, cfg, 1);
+    rel = std::make_unique<apps::ReliableLookupService>(params);
+    driver->attach_app(rel.get());
     for (int i = 0; i < nodes; ++i) {
       driver->add_node();
       driver->run_for(seconds(2));

@@ -3,6 +3,7 @@
 #include <array>
 #include <cstring>
 #include <memory>
+#include <vector>
 
 #include "net/transit_stub.hpp"
 #include "overlay/sharded_driver.hpp"
@@ -82,7 +83,9 @@ TEST(ShardedDriver, DigestInvariantAcrossShardCounts) {
   for (const std::size_t s : {1u, 2u, 4u, 8u}) {
     ShardedDriver d(topo(), {}, small_config(), s);
     ASSERT_GT(d.lookahead(), 0) << "GATech-like topology must give lookahead";
-    if (s > 1) ASSERT_GT(d.effective_shards(), 1u);
+    if (s > 1) {
+      ASSERT_GT(d.effective_shards(), 1u);
+    }
     d.run_trace(trace);
     const std::uint64_t got = digest(d);
     if (s == 1) {
@@ -252,6 +255,131 @@ TEST(ShardedDriver, FaultRecipeActuallyInjects) {
   d.run_trace(small_trace());
   EXPECT_GT(d.metrics().fault_injections(net::FaultKind::kLoss), 0u);
   EXPECT_GT(d.metrics().lookups_delivered_correct(), 100u);
+}
+
+/// An attached app whose workload rate is zero: it never asks for a
+/// request, and its ticks (at the driver's 1e-6/s floor) are counted.
+class IdleApp final : public overlay::ShardedApp {
+ public:
+  void on_run_start(ShardedDriver&, std::size_t) override {}
+  double workload_rate(SimTime) const override { return 0.0; }
+  void workload_tick(const ShardedDriver::AppNode&) override { ++ticks; }
+  void deliver(const ShardedDriver::AppNode&,
+               const pastry::LookupMsg&) override {}
+  void packet(const ShardedDriver::AppNode&, net::Address,
+              const net::PacketPtr&) override {}
+  int ticks = 0;
+};
+
+TEST(ShardedDriver, AppWithZeroRateReplacesPoissonLookups) {
+  // An attached app's workload replaces the driver's Poisson lookups: at
+  // rate 0 nobody issues anything, although lookup_rate_per_node is set.
+  const auto issued = [](bool with_app) {
+    IdleApp idle;
+    ShardedDriver d(topo(), {}, small_config(), 1);
+    if (with_app) d.attach_app(&idle);
+    d.run_trace(small_trace());
+    EXPECT_EQ(idle.ticks, 0);
+    return d.metrics().lookups_issued();
+  };
+  EXPECT_GT(issued(false), 100u);  // the Poisson workload, without an app
+  EXPECT_EQ(issued(true), 0u);
+}
+
+/// Drives the imperative surface through every kind of call between runs:
+/// adds, kills, leaves and tracked lookups; a partition rule added and
+/// later removed; an adversary armed (corrupted nodes plus an eclipse
+/// cluster) and then cleared. Returns the digest of everything observable.
+std::uint64_t imperative_scenario(std::size_t shards) {
+  DriverConfig cfg = small_config();
+  cfg.warmup = 0;
+  ShardedDriver d(topo(), {}, cfg, shards);
+  if (shards > 1) {
+    EXPECT_GT(d.effective_shards(), 1u);
+  }
+  for (int i = 0; i < 24; ++i) {
+    d.add_node();
+    d.run_for(seconds(2));
+  }
+  d.run_for(minutes(1));
+  d.start_workload();
+  std::vector<std::uint64_t> tracked;
+  const auto probe = [&d, &tracked](int n) {
+    for (int i = 0; i < n; ++i) {
+      const auto src = d.oracle().random_active(d.rng());
+      if (!src || d.session_is_adversarial(src->second)) continue;
+      tracked.push_back(d.issue_lookup(src->second, d.rng().node_id()));
+      d.track_lookup(tracked.back());
+      d.run_for(seconds(1));
+    }
+  };
+
+  // A partition for a minute, healed between runs. Both sides condemn
+  // each other, so the minority restarts (the operational recovery path):
+  // crashes, replacements join.
+  const auto addrs = d.live_addresses();
+  const std::vector<net::Address> minority(addrs.begin(), addrs.begin() + 6);
+  const auto cut = d.add_fault_rule(
+      net::FaultRule::partition(net::LinkMatcher::cross(minority), d.now()));
+  probe(10);
+  d.run_for(minutes(1));
+  EXPECT_TRUE(d.remove_fault_rule(cut));
+  for (const auto a : minority) d.kill_node(a);
+  for (std::size_t i = 0; i < minority.size(); ++i) {
+    d.add_node();
+    d.run_for(seconds(2));
+  }
+  d.leave_node(addrs[7]);
+  d.leave_node(addrs[9]);
+  d.run_for(minutes(1));
+
+  // An adversary, armed now and cleared a few minutes later.
+  overlay::ShardedAdversaryConfig adv;
+  adv.behavior = overlay::AdversaryBehavior::kMisroute;
+  adv.fraction = 0.2;
+  adv.eclipse_sybils = 4;
+  adv.eclipse_victim = d.node(d.live_addresses()[3])->descriptor().id;
+  adv.seed = 0xadd5a17ull;
+  d.set_adversary(adv);
+  d.run_for(seconds(30));
+  probe(10);
+  std::uint64_t adversarial = 0;
+  for (const auto a : d.live_addresses()) {
+    adversarial += d.session_is_adversarial(a) ? 1 : 0;
+  }
+  for (const auto a : d.sybil_addresses()) d.kill_node(a);
+  d.clear_adversary();
+  probe(10);
+  d.run_for(minutes(2));
+  d.finish();
+
+  std::uint64_t h = digest(d);
+  h = fold(h, adversarial);
+  h = fold(h, d.metrics().fault_injections(net::FaultKind::kPartition));
+  h = fold(h, d.counters().lookups_misrouted_adversarial);
+  h = fold(h, d.live_node_count());
+  for (const auto id : tracked) {
+    const auto v = d.lookup_verdict(id);
+    h = fold(h, v ? 1u + *v : 0u);
+  }
+  if (shards == 1) {
+    // The calls must actually bite, or the equality is vacuous.
+    EXPECT_GE(tracked.size(), 25u);
+    EXPECT_GT(d.metrics().lookups_issued(), 100u);
+    EXPECT_GT(d.metrics().fault_injections(net::FaultKind::kPartition), 0u);
+    EXPECT_GT(d.counters().lookups_misrouted_adversarial, 0u);
+    EXPECT_EQ(adversarial, 4u + 4u);  // 4 sybils, round(0.2 * 22)
+    EXPECT_EQ(d.live_node_count(), 22u);
+    EXPECT_EQ(d.metrics().joins_completed(), 24u + 6u + 4u);
+  }
+  return h;
+}
+
+TEST(ShardedDriver, ImperativeScenarioIsShardCountInvariant) {
+  const std::uint64_t want = imperative_scenario(1);
+  for (const std::size_t s : {2u, 4u}) {
+    EXPECT_EQ(imperative_scenario(s), want) << "shards=" << s;
+  }
 }
 
 }  // namespace

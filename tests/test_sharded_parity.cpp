@@ -97,7 +97,7 @@ std::uint64_t digest(ShardedDriver& d) {
 constexpr int kNodes = 160;  // small rings route in one hop; see bench
 
 struct AdversaryRunParams {
-  AdversaryBehavior behavior;
+  AdversaryBehavior behavior = AdversaryBehavior::kDrop;
   double fraction = 0.2;
   int sybils = 0;
   NodeId victim;
@@ -133,7 +133,9 @@ TEST(ShardedParity, AdversaryDigestInvariantAcrossShardCounts) {
         AdversaryBehavior::kLie}) {
     std::uint64_t want = 0;
     for (const std::size_t s : {1u, 2u, 4u}) {
-      const auto d = run_adversary({behavior}, s);
+      AdversaryRunParams p;
+      p.behavior = behavior;
+      const auto d = run_adversary(p, s);
       const std::uint64_t got = digest(*d);
       if (s == 1) {
         want = got;
@@ -162,7 +164,8 @@ TEST(ShardedParity, AdversaryDigestInvariantAcrossShardCounts) {
 }
 
 TEST(ShardedParity, EclipseSybilsJoinIdenticallyAtEveryShardCount) {
-  AdversaryRunParams p{AdversaryBehavior::kMisroute};
+  AdversaryRunParams p;
+  p.behavior = AdversaryBehavior::kMisroute;
   p.fraction = 0.1;
   p.sybils = 8;
   p.victim = NodeId::from_string("8000000000000000000000000000000a");

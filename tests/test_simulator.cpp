@@ -154,7 +154,7 @@ TEST(Simulator, DoubleCancelIsNoop) {
   Simulator sim;
   bool a_ran = false, b_ran = false;
   const TimerId a = sim.schedule_at(seconds(1), [&] { a_ran = true; });
-  const TimerId b = sim.schedule_at(seconds(2), [&] { b_ran = true; });
+  sim.schedule_at(seconds(2), [&] { b_ran = true; });
   sim.cancel(a);
   EXPECT_EQ(sim.pending_events(), 1u);
   sim.cancel(a);  // second cancel must not decrement the count again...

@@ -87,12 +87,12 @@ void usage() {
       "  --seed S               RNG seed (default 7); feeds the network,\n"
       "                         trace, and chaos streams, printed in the\n"
       "                         run header for reproducibility\n"
-      "  --shards N             worker shards of the keyed trace engine\n"
+      "  --shards N             worker shards of the keyed engine\n"
       "                         (default 1); the results block is\n"
       "                         byte-identical for every N, including\n"
       "                         --adversary, --eclipse-victim,\n"
-      "                         --fault-recipe and --squirrel runs\n"
-      "                         (ignored by --chaos)\n"
+      "                         --fault-recipe and --squirrel runs, and\n"
+      "                         so is the --chaos output\n"
       "  --fault-recipe         install the canonical fault plan (1% loss,\n"
       "                         20 ms delay spike mid-run, 0.5%\n"
       "                         duplication)\n"
@@ -463,6 +463,7 @@ int run_chaos(const Options& o) {
   }
   overlay::ChaosConfig cfg;
   cfg.seed = o.chaos_seed != 0 ? o.chaos_seed : o.seed;
+  cfg.shards = o.shards;
   cfg.pastry.b = o.b;
   cfg.pastry.l = o.l;
   cfg.obs.sample_rate = o.trace_sample;
