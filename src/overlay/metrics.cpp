@@ -1,14 +1,21 @@
 #include "overlay/metrics.hpp"
 
 #include <cassert>
+#include <optional>
 
 namespace mspastry::overlay {
 
+Metrics::TrafficWindow& Metrics::window_at(SimTime t) {
+  const auto wi = static_cast<std::size_t>(t / window_);
+  if (wi >= windows_.size()) windows_.resize(wi + 1);
+  return windows_[wi];
+}
+
 void Metrics::on_message(SimTime t, pastry::MsgType type) {
   const auto cls = pastry::traffic_class(type);
-  const SimTime wi = t / window_;
-  total_windows_[wi] += 1.0;
-  class_windows_[wi][static_cast<std::size_t>(cls)] += 1.0;
+  TrafficWindow& w = window_at(t);
+  w.total += 1.0;
+  w.by_class[static_cast<std::size_t>(cls)] += 1.0;
   if (post_warmup(t)) {
     ++all_total_;
     ++class_totals_[static_cast<std::size_t>(cls)];
@@ -17,12 +24,12 @@ void Metrics::on_message(SimTime t, pastry::MsgType type) {
 }
 
 void Metrics::on_app_message(SimTime t) {
-  total_windows_[t / window_] += 1.0;
+  window_at(t).total += 1.0;
   if (post_warmup(t)) ++all_total_;
 }
 
 void Metrics::on_unclassified_control(SimTime t) {
-  total_windows_[t / window_] += 1.0;
+  window_at(t).total += 1.0;
   if (post_warmup(t)) {
     ++all_total_;
     ++control_total_;
@@ -30,12 +37,16 @@ void Metrics::on_unclassified_control(SimTime t) {
 }
 
 void Metrics::merge_traffic_from(const Metrics& other) {
-  for (const auto& [wi, counts] : other.class_windows_) {
-    auto& mine = class_windows_[wi];
-    for (std::size_t c = 0; c < counts.size(); ++c) mine[c] += counts[c];
+  if (other.windows_.size() > windows_.size()) {
+    windows_.resize(other.windows_.size());
   }
-  for (const auto& [wi, count] : other.total_windows_) {
-    total_windows_[wi] += count;
+  for (std::size_t wi = 0; wi < other.windows_.size(); ++wi) {
+    const TrafficWindow& theirs = other.windows_[wi];
+    TrafficWindow& mine = windows_[wi];
+    for (std::size_t c = 0; c < mine.by_class.size(); ++c) {
+      mine.by_class[c] += theirs.by_class[c];
+    }
+    mine.total += theirs.total;
   }
   for (std::size_t c = 0; c < class_totals_.size(); ++c) {
     class_totals_[c] += other.class_totals_[c];
@@ -162,47 +173,53 @@ double Metrics::control_traffic_rate(pastry::TrafficClass c) const {
                 : 0.0;
 }
 
-std::vector<Metrics::SeriesPoint> Metrics::control_traffic_series(
-    SimTime end) {
+template <typename Value>
+std::vector<Metrics::SeriesPoint> Metrics::traffic_series(SimTime end,
+                                                          Value value) {
   std::vector<SeriesPoint> out;
   const auto& ns = node_seconds_.windows(end);
-  for (const auto& [wi, arr] : class_windows_) {
+  for (std::size_t i = 0; i < windows_.size(); ++i) {
+    const auto wi = static_cast<SimTime>(i);
     const auto nit = ns.find(wi);
     if (nit == ns.end() || nit->second <= 0) continue;
-    double control = 0.0;
-    for (std::size_t c = 0; c < arr.size(); ++c) {
-      if (static_cast<pastry::TrafficClass>(c) !=
-          pastry::TrafficClass::kLookups) {
-        control += arr[c];
-      }
-    }
-    out.push_back({to_seconds(wi * window_), control / nit->second});
+    const std::optional<double> count = value(windows_[i]);
+    if (!count) continue;  // no message of this kind in the window
+    out.push_back({to_seconds(wi * window_), *count / nit->second});
   }
   return out;
+}
+
+std::vector<Metrics::SeriesPoint> Metrics::control_traffic_series(
+    SimTime end) {
+  return traffic_series(
+      end, [](const TrafficWindow& w) -> std::optional<double> {
+        if (!w.has_classified()) return std::nullopt;
+        double control = 0.0;
+        for (std::size_t c = 0; c < w.by_class.size(); ++c) {
+          if (static_cast<pastry::TrafficClass>(c) !=
+              pastry::TrafficClass::kLookups) {
+            control += w.by_class[c];
+          }
+        }
+        return control;
+      });
 }
 
 std::vector<Metrics::SeriesPoint> Metrics::control_traffic_series(
     pastry::TrafficClass c, SimTime end) {
-  std::vector<SeriesPoint> out;
-  const auto& ns = node_seconds_.windows(end);
-  for (const auto& [wi, arr] : class_windows_) {
-    const auto nit = ns.find(wi);
-    if (nit == ns.end() || nit->second <= 0) continue;
-    out.push_back({to_seconds(wi * window_),
-                   arr[static_cast<std::size_t>(c)] / nit->second});
-  }
-  return out;
+  return traffic_series(
+      end, [c](const TrafficWindow& w) -> std::optional<double> {
+        if (!w.has_classified()) return std::nullopt;
+        return w.by_class[static_cast<std::size_t>(c)];
+      });
 }
 
 std::vector<Metrics::SeriesPoint> Metrics::total_traffic_series(SimTime end) {
-  std::vector<SeriesPoint> out;
-  const auto& ns = node_seconds_.windows(end);
-  for (const auto& [wi, total] : total_windows_) {
-    const auto nit = ns.find(wi);
-    if (nit == ns.end() || nit->second <= 0) continue;
-    out.push_back({to_seconds(wi * window_), total / nit->second});
-  }
-  return out;
+  return traffic_series(
+      end, [](const TrafficWindow& w) -> std::optional<double> {
+        if (w.total <= 0.0) return std::nullopt;
+        return w.total;
+      });
 }
 
 std::vector<Metrics::SeriesPoint> Metrics::rdp_series() const {

@@ -201,10 +201,25 @@ class Metrics {
   // Mutable: reading the windows settles the integral up to "now".
   mutable NodeSecondsAccumulator node_seconds_;
 
-  // Message counts: per-window per-class, and post-warmup totals.
-  std::map<SimTime, std::array<double, pastry::kTrafficClassCount>>
-      class_windows_;
-  std::map<SimTime, double> total_windows_;
+  // Message counts: per-window (indexed by window; a window that saw no
+  // message holds zeros and is skipped by the series), and post-warmup
+  // totals. `by_class` counts on_message only; `total` counts every kind.
+  struct TrafficWindow {
+    std::array<double, pastry::kTrafficClassCount> by_class{};
+    double total = 0.0;
+    bool has_classified() const {
+      for (const double c : by_class) {
+        if (c > 0.0) return true;
+      }
+      return false;
+    }
+  };
+  std::vector<TrafficWindow> windows_;
+  TrafficWindow& window_at(SimTime t);
+  /// One point per window with live node-seconds for which `value`
+  /// (TrafficWindow -> optional count) gives a count: count/node-seconds.
+  template <typename Value>
+  std::vector<SeriesPoint> traffic_series(SimTime end, Value value);
   std::array<std::uint64_t, pastry::kTrafficClassCount> class_totals_{};
   std::uint64_t control_total_ = 0;
   std::uint64_t all_total_ = 0;

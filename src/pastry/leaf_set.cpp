@@ -12,19 +12,14 @@ LeafSet::LeafSet(NodeId self, int l) : self_(self), l_(l) {
 bool LeafSet::add(const NodeDescriptor& d) {
   assert(d.valid());
   if (d.id == self_) return false;
-  const U128 key = cw_from_self(d.id);
   // Find insertion point in clockwise order.
-  const auto pos = std::lower_bound(
-      members_.begin(), members_.end(), key,
-      [this](const NodeDescriptor& m, const U128& k) {
-        return cw_from_self(m.id) < k;
-      });
+  const int p = rank(cw_from_self(d.id));
+  const auto pos = members_.begin() + p;
   if (pos != members_.end() && pos->id == d.id) {
     if (pos->addr == d.addr) return false;  // already known
     pos->addr = d.addr;  // same id re-announced from a new endpoint
     return true;
   }
-  const auto p = static_cast<int>(pos - members_.begin());
   if (size() < l_) {
     members_.insert(pos, d);
     return true;
@@ -102,16 +97,29 @@ bool LeafSet::covers(NodeId k) const {
   return lm.clockwise_distance_to(k) <= lm.clockwise_distance_to(rm);
 }
 
+int LeafSet::rank(U128 cw) const {
+  return static_cast<int>(
+      std::lower_bound(members_.begin(), members_.end(), cw,
+                       [this](const NodeDescriptor& m, const U128& x) {
+                         return cw_from_self(m.id) < x;
+                       }) -
+      members_.begin());
+}
+
 std::optional<NodeDescriptor> LeafSet::closest(NodeId k) const {
-  std::optional<NodeDescriptor> best;
-  NodeId best_id = self_;
-  for (const NodeDescriptor& m : members_) {
-    if (m.id.closer_to(k, best_id)) {
-      best = m;
-      best_id = m.id;
-    }
-  }
-  return best;
+  // The ring-closest of self and the members is one of k's two cyclic
+  // neighbours among them: the first point clockwise of k (at distance
+  // >= 0) or the first counter-clockwise. The tie-break of closer_to
+  // picks between those two as well, so nothing farther can win.
+  const int s = rank(cw_from_self(k));
+  const auto at = [this](int i) -> const NodeDescriptor& {
+    return members_[static_cast<std::size_t>(i)];
+  };
+  const NodeId succ = s == size() ? self_ : at(s).id;
+  const NodeId pred = s == 0 ? self_ : at(s - 1).id;
+  const int winner = succ.closer_to(k, pred) ? s : s - 1;
+  if (winner < 0 || winner == size()) return std::nullopt;  // self
+  return at(winner);
 }
 
 }  // namespace mspastry::pastry

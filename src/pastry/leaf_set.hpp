@@ -63,7 +63,8 @@ class LeafSet {
 
   /// The member (or the local node, returned as nullopt) closest to k on
   /// the ring, with the ownership tie-break. nullopt means "the local
-  /// node is the closest".
+  /// node is the closest". O(log l): a binary search for k's two cyclic
+  /// neighbours in the clockwise order, then one comparison.
   std::optional<NodeDescriptor> closest(NodeId k) const;
 
   /// All members, nearest-successor first (clockwise order).
@@ -71,6 +72,8 @@ class LeafSet {
 
  private:
   U128 cw_from_self(NodeId id) const { return self_.clockwise_distance_to(id); }
+  /// Number of members closer clockwise than `cw` (a lower bound).
+  int rank(U128 cw) const;
 
   NodeId self_;
   int l_;

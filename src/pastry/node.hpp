@@ -96,6 +96,7 @@ class PastryNode {
   /// True while `a` is excluded from routing after a missed per-hop ack
   /// (suspected but not yet condemned; cleared by any message heard).
   bool currently_excludes(net::Address a) const {
+    if (excluded_peers_ == 0) return false;  // the common case: no probe
     const PeerState* p = peers_.find(a);
     return p != nullptr && p->excluded;
   }
@@ -119,7 +120,8 @@ class PastryNode {
     std::size_t pending_acks = 0;
     std::size_t buffered_messages = 0;
     std::size_t failed_set_size = 0;
-    std::size_t excluded_size = 0;
+    std::size_t excluded_size = 0;    ///< the node's ack-exclusion count
+    std::size_t excluded_scanned = 0; ///< the same, by a PeerTable scan
     std::size_t peer_entries = 0;     ///< peers with a PeerTable record
     std::size_t peer_table_bytes = 0; ///< heap bytes of the PeerTable
     int nn_outstanding = 0;
@@ -248,6 +250,9 @@ class PastryNode {
   /// false-positive state. Returns d's record (valid until the next
   /// PeerTable mutation), or nullptr when `d` is invalid or this node.
   PeerState* heard_from(const NodeDescriptor& d);
+  /// Erase `a`'s PeerTable record (mark_faulty, LEAVE), keeping the
+  /// ack-exclusion count in step.
+  void forget_peer(net::Address a);
 
   /// Flight-recorder hooks (obs/events.hpp). Node-scoped events carry
   /// trace id 0 and are recorded whenever tracing is on; path-scoped
@@ -337,6 +342,9 @@ class PastryNode {
   /// Trt hints, distance-measurement times, RTT estimators and ack
   /// exclusion. mark_faulty and LEAVE erase a peer's whole record.
   PeerTable peers_;
+  /// Number of records in peers_ with `excluded` set. Zero almost always,
+  /// which lets currently_excludes answer without probing the table.
+  std::size_t excluded_peers_ = 0;
 
   /// Buffered routed messages (node inactive, or leaf set mid-repair).
   std::vector<IntrusivePtr<RoutedMessage>> buffered_;

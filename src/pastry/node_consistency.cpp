@@ -91,7 +91,7 @@ void PastryNode::mark_faulty(const NodeDescriptor& j, bool announce) {
   leaf_.remove(j.addr);
   notify_right_changed();
   rt_.remove(j.addr);
-  peers_.erase(j.addr);
+  forget_peer(j.addr);
   trace_node(obs::EventKind::kCondemn, j.addr);
   failed_.emplace(j.addr, FailedEntry{j, env_.now()});
   fail_est_.record_failure(env_.now());

@@ -50,11 +50,21 @@ PeerState* PastryNode::heard_from(const NodeDescriptor& d) {
   if (!d.valid() || d.id == self_.id) return nullptr;
   PeerState& p = peers_.get(d.addr);
   p.stamp(PeerState::kHeard, p.last_heard, env_.now());
-  p.excluded = false;  // evidence of liveness ends ack-exclusion
-  if (failed_.erase(d.addr) > 0) {  // recover from false positives
-    trace_node(obs::EventKind::kAbsolve, d.addr);
+  if (p.excluded) {  // evidence of liveness ends ack-exclusion
+    p.excluded = false;
+    --excluded_peers_;
+  }
+  if (!failed_.empty() && failed_.erase(d.addr) > 0) {
+    trace_node(obs::EventKind::kAbsolve, d.addr);  // a false positive
   }
   return &p;
+}
+
+void PastryNode::forget_peer(net::Address a) {
+  const PeerState* p = peers_.find(a);
+  if (p == nullptr) return;
+  if (p->excluded) --excluded_peers_;
+  peers_.erase(a);
 }
 
 std::size_t PastryNode::routing_state_size() const {
@@ -90,6 +100,7 @@ bool PastryNode::believes_root_of(NodeId key) const {
 }
 
 bool PastryNode::in_failed(net::Address a) const {
+  if (failed_.empty()) return false;
   const auto it = failed_.find(a);
   if (it == failed_.end()) return false;
   if (env_.now() - it->second.since > cfg_.failed_entry_ttl) {
@@ -117,7 +128,8 @@ PastryNode::DebugState PastryNode::debug_state() const {
   d.pending_acks = pending_acks_.size();
   d.buffered_messages = buffered_.size();
   d.failed_set_size = failed_.size();
-  d.excluded_size =
+  d.excluded_size = excluded_peers_;
+  d.excluded_scanned =
       peers_.count_if([](const PeerState& p) { return p.excluded; });
   d.peer_entries = peers_.size();
   d.peer_table_bytes = peers_.bytes();
@@ -342,7 +354,7 @@ void PastryNode::handle(net::Address from, const MessagePtr& msg) {
       leaf_.remove(from);
       notify_right_changed();
       rt_.remove(from);
-      peers_.erase(from);
+      forget_peer(from);
       if (active_ && !leaf_complete()) repair_leaf_set();
       return;
     }
@@ -367,11 +379,21 @@ NodeDescriptor PastryNode::next_hop(
   *empty_col = -1;
 
   // Case 1: the key is within the leaf-set arc: the closest of leaf set
-  // members and self owns it.
+  // members and self owns it. Exclusions are rare, so take the closest
+  // first and check only it; the full scan below runs only when the
+  // winner is excluded.
   if (leaf_.covers(key)) {
+    const std::optional<NodeDescriptor> winner = leaf_.closest(key);
+    if (!winner) return {};  // self is the closest
+    if (!is_excluded(winner->addr, excluded)) return *winner;
     NodeDescriptor best{};  // invalid == self
     NodeId best_id = self_.id;
     for (const NodeDescriptor& m : leaf_.members()) {
+      // No leaf member is ever in failed_ (leaf_.add runs after
+      // heard_from cleared the sender; mark_faulty removes from the leaf
+      // set first), so the fast path above, which calls in_failed on the
+      // winner only, skips no lazy expiry.
+      assert(failed_.count(m.addr) == 0);
       if (is_excluded(m.addr, excluded)) continue;
       if (m.id.closer_to(key, best_id)) {
         best = m;
@@ -703,7 +725,10 @@ void PastryNode::on_ack_timeout(std::uint64_t hop_seq) {
 
   // Temporarily exclude the unresponsive node and probe it; it is only
   // marked faulty if the probe times out.
-  peers_.get(pending.dest).excluded = true;
+  if (PeerState& p = peers_.get(pending.dest); !p.excluded) {
+    p.excluded = true;
+    ++excluded_peers_;
+  }
   trace_node(obs::EventKind::kSuspect, pending.dest);
   if (auto d = leaf_.find(pending.dest)) {
     // First-hand suspicion (missed ack): announce if confirmed dead.

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <vector>
 
 #include "common/rng.hpp"
 
@@ -139,6 +141,74 @@ TEST(LeafSet, ClosestPicksRingNearest) {
   EXPECT_FALSE(ls.closest(NodeId{0, 1001}));
   // Key 991: member 990.
   EXPECT_EQ(ls.closest(NodeId{0, 991})->addr, 2);
+}
+
+/// The closest of self (nullopt) and the members by a linear scan.
+std::optional<NodeDescriptor> closest_by_scan(const LeafSet& ls, NodeId k) {
+  std::optional<NodeDescriptor> best;
+  NodeId best_id = ls.self();
+  for (const NodeDescriptor& m : ls.members()) {
+    if (m.id.closer_to(k, best_id)) {
+      best = m;
+      best_id = m.id;
+    }
+  }
+  return best;
+}
+
+/// An id with the low bit cleared: any two such ids are an even distance
+/// apart, so the midpoint between them is exactly equidistant.
+NodeId even_id(Rng& rng) {
+  const NodeId id = rng.node_id();
+  return NodeId{id.value().hi, id.value().lo & ~std::uint64_t{1}};
+}
+
+TEST(LeafSet, ClosestMatchesLinearScan) {
+  Rng rng(80);
+  int full = 0;
+  int wrapped = 0;
+  int ties = 0;
+  for (int round = 0; round < 300; ++round) {
+    const int l = 2 << rng.uniform_index(5);  // 2..32
+    const NodeId self = even_id(rng);
+    LeafSet ls(self, l);
+    const auto n = static_cast<int>(rng.uniform_index(2 * l + 1));
+    for (int i = 0; i < n; ++i) ls.add(NodeDescriptor{even_id(rng), i + 1});
+    (ls.full() ? full : wrapped) += 1;
+
+    std::vector<NodeId> keys{self};
+    for (int i = 0; i < 20; ++i) keys.push_back(rng.node_id());
+    // Every member, each side of it, and the midpoint between cyclically
+    // adjacent points of {self} + members (self and the last member
+    // included), where the tie-break decides.
+    std::vector<NodeId> ring{self};
+    for (const NodeDescriptor& m : ls.members()) ring.push_back(m.id);
+    for (std::size_t i = 0; i < ring.size(); ++i) {
+      const NodeId a = ring[i];
+      const NodeId b = ring[(i + 1) % ring.size()];
+      keys.push_back(a);
+      keys.push_back(NodeId{a.value() + U128{0, 1}});
+      keys.push_back(NodeId{a.value() - U128{0, 1}});
+      if (a != b) {
+        const NodeId mid{a.value() + (a.clockwise_distance_to(b) >> 1)};
+        ASSERT_EQ(mid.ring_distance_to(a), mid.ring_distance_to(b));
+        keys.push_back(mid);
+        ++ties;
+      }
+    }
+    for (const NodeId k : keys) {
+      const auto want = closest_by_scan(ls, k);
+      const auto got = ls.closest(k);
+      ASSERT_EQ(got.has_value(), want.has_value()) << "round " << round;
+      if (want) {
+        EXPECT_EQ(got->id, want->id);
+        EXPECT_EQ(got->addr, want->addr);
+      }
+    }
+  }
+  EXPECT_GT(full, 0);
+  EXPECT_GT(wrapped, 0);
+  EXPECT_GT(ties, 0);
 }
 
 TEST(LeafSet, WrapAroundRingOrder) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace mspastry::overlay {
 namespace {
 
@@ -157,6 +159,84 @@ TEST(Metrics, SeriesPerWindow) {
   ASSERT_EQ(rt_series.size(), 2u);
   EXPECT_DOUBLE_EQ(rt_series[0].value, 0.0);
   EXPECT_DOUBLE_EQ(rt_series[1].value, 1.0 / 20.0);
+}
+
+TEST(Metrics, WindowsWithoutMessagesAreAbsentFromEverySeries) {
+  Metrics m = make_metrics();
+  m.population_change(0, 2);
+  m.on_message(seconds(5), MsgType::kHeartbeat);  // window 0
+  m.on_app_message(seconds(25));                  // window 2: app only
+  m.on_unclassified_control(seconds(35));         // window 3: unclassified
+  m.on_message(seconds(55), MsgType::kLookup);    // window 5
+  // Windows 1 and 4 saw nothing; 2 and 3 saw nothing classified.
+  const auto starts = [](const std::vector<Metrics::SeriesPoint>& s) {
+    std::vector<double> t;
+    for (const auto& p : s) t.push_back(p.t_seconds);
+    return t;
+  };
+  const std::vector<double> classified{0.0, 50.0};
+  EXPECT_EQ(starts(m.control_traffic_series(seconds(60))), classified);
+  EXPECT_EQ(
+      starts(m.control_traffic_series(TrafficClass::kJoin, seconds(60))),
+      classified);
+  EXPECT_EQ(starts(m.total_traffic_series(seconds(60))),
+            (std::vector<double>{0.0, 20.0, 30.0, 50.0}));
+}
+
+TEST(Metrics, MergedPerShardTrafficEqualsOneLedger) {
+  // Two shards whose traffic spans different windows (the second shard
+  // runs past the first's last window) fold into the same series, rates
+  // and totals as one Metrics fed every message.
+  Metrics one = make_metrics();
+  Metrics a = make_metrics();
+  Metrics b = make_metrics();
+  one.population_change(0, 3);
+  const auto msg = [&](Metrics& shard, SimTime t, MsgType type) {
+    shard.on_message(t, type);
+    one.on_message(t, type);
+  };
+  msg(a, seconds(3), MsgType::kHeartbeat);
+  msg(a, seconds(25), MsgType::kLookup);
+  msg(b, seconds(25), MsgType::kRtProbe);
+  msg(b, seconds(25), MsgType::kAck);
+  msg(b, seconds(77), MsgType::kLsProbe);
+  msg(b, seconds(91), MsgType::kJoinRequest);
+  a.on_app_message(seconds(44));
+  one.on_app_message(seconds(44));
+  b.on_unclassified_control(seconds(66));
+  one.on_unclassified_control(seconds(66));
+  a.on_fault_injected(net::FaultKind::kLoss);
+  one.on_fault_injected(net::FaultKind::kLoss);
+
+  Metrics merged = make_metrics();
+  merged.population_change(0, 3);
+  merged.merge_traffic_from(a);
+  merged.merge_traffic_from(b);
+  one.finalize(seconds(100), 0);
+  merged.finalize(seconds(100), 0);
+
+  const auto same = [](const std::vector<Metrics::SeriesPoint>& x,
+                       const std::vector<Metrics::SeriesPoint>& y) {
+    ASSERT_EQ(x.size(), y.size());
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      EXPECT_EQ(x[i].t_seconds, y[i].t_seconds);
+      EXPECT_EQ(x[i].value, y[i].value);
+    }
+  };
+  const SimTime end = seconds(100);
+  same(merged.control_traffic_series(end), one.control_traffic_series(end));
+  same(merged.total_traffic_series(end), one.total_traffic_series(end));
+  for (int c = 0; c < pastry::kTrafficClassCount; ++c) {
+    const auto cls = static_cast<TrafficClass>(c);
+    same(merged.control_traffic_series(cls, end),
+         one.control_traffic_series(cls, end));
+    EXPECT_EQ(merged.control_traffic_rate(cls),
+              one.control_traffic_rate(cls));
+  }
+  EXPECT_EQ(merged.control_traffic_rate(), one.control_traffic_rate());
+  EXPECT_EQ(merged.total_traffic_rate(), one.total_traffic_rate());
+  EXPECT_EQ(merged.fault_injections(net::FaultKind::kLoss), 1u);
+  EXPECT_EQ(merged.total_traffic_series(end).size(), 6u);
 }
 
 TEST(Metrics, AppMessagesCountTowardTotalOnly) {

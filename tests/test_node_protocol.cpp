@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "mock_env.hpp"
 
 namespace mspastry {
@@ -328,6 +330,121 @@ TEST(NodeProtocol, HearingFromExcludedNodeLiftsExclusion) {
   EXPECT_GT(h.node->debug_state().excluded_size, 0u);
   h.receive_ls_probe(nd(2000, 1), {}, {}, /*reply=*/true);
   EXPECT_EQ(h.node->debug_state().excluded_size, 0u);
+}
+
+/// Run until the node excludes `a` after missed acks (not yet condemned).
+void run_until_excluded(NodeHarness& h, net::Address a) {
+  for (int i = 0; i < 200 && !h.node->currently_excludes(a); ++i) {
+    h.env.run_for(milliseconds(100));
+  }
+  ASSERT_TRUE(h.node->currently_excludes(a));
+}
+
+/// Ack every lookup captured since the last drain, as its receiver.
+void ack_lookups(NodeHarness& h, const std::vector<NodeDescriptor>& peers) {
+  for (const auto& s : h.env.drain()) {
+    if (s.msg->type != MsgType::kLookup) continue;
+    for (const NodeDescriptor& p : peers) {
+      if (p.addr != s.to) continue;
+      auto ack = make_refcounted<pastry::AckMsg>();
+      ack->hop_seq = static_cast<const pastry::LookupMsg&>(*s.msg).hop_seq;
+      h.receive(p, std::move(ack));
+    }
+  }
+}
+
+/// Destinations of the lookups captured since the last drain.
+std::vector<net::Address> lookup_destinations(NodeHarness& h) {
+  std::vector<net::Address> to;
+  for (const auto& s : h.env.drain()) {
+    if (s.msg->type == MsgType::kLookup) to.push_back(s.to);
+  }
+  return to;
+}
+
+TEST(NodeProtocol, ExcludedClosestLeafMemberRoutesToNextClosest) {
+  NodeHarness h(kSelf);
+  h.node->bootstrap();
+  h.receive_ls_probe(nd(2000, 1));  // closest to key 2001
+  h.receive_ls_probe(nd(2010, 2));  // next closest
+  h.receive_ls_probe(nd(500, 3));
+  h.env.drain();
+  h.node->lookup(NodeId{0, 2001}, 7);
+  EXPECT_EQ(lookup_destinations(h), std::vector<net::Address>{1});
+  run_until_excluded(h, 1);
+  ack_lookups(h, {nd(2010, 2)});  // the reroute went to node 2
+  EXPECT_FALSE(h.node->currently_excludes(2));
+  // While node 1 is excluded, a fresh lookup goes straight to node 2.
+  h.node->lookup(NodeId{0, 2001}, 8);
+  EXPECT_EQ(lookup_destinations(h), std::vector<net::Address>{2});
+  EXPECT_TRUE(h.env.delivered().empty());
+}
+
+TEST(NodeProtocol, ConsistencyModeRetransmitsToExcludedTrueRoot) {
+  Config cfg;
+  cfg.exclude_root_on_ack_timeout = false;
+  NodeHarness h(kSelf, cfg);
+  h.node->bootstrap();
+  h.receive_ls_probe(nd(2000, 1));  // the true root of key 2001
+  h.receive_ls_probe(nd(500, 3));   // farther from the key than self
+  h.env.drain();
+  h.node->lookup(NodeId{0, 2001}, 7);
+  run_until_excluded(h, 1);
+  h.env.drain();
+  // Self is the closest member that is not excluded, but node 1 is only
+  // suspected: the lookup still goes to it rather than landing here.
+  h.node->lookup(NodeId{0, 2001}, 8);
+  EXPECT_EQ(lookup_destinations(h), std::vector<net::Address>{1});
+  EXPECT_TRUE(h.env.delivered().empty());
+}
+
+TEST(NodeProtocol, ExclusionCountMatchesPeerTableScan) {
+  Config cfg;
+  cfg.l = 4;
+  NodeHarness h(kSelf, cfg);
+  const auto check = [&](std::size_t want) {
+    const auto d = h.node->debug_state();
+    EXPECT_EQ(d.excluded_size, d.excluded_scanned);
+    EXPECT_EQ(d.excluded_size, want);
+  };
+  h.node->bootstrap();
+  h.receive_ls_probe(nd(2000, 1));
+  h.receive_ls_probe(nd(3000, 2));
+  h.receive_ls_probe(nd(990, 3));
+  h.receive_ls_probe(nd(980, 4));
+  h.env.drain();
+  check(0);
+  // Two lookups time out on node 1 (excluded once, counted once) and one
+  // on node 3; their reroutes are acked, so nobody else is excluded.
+  h.node->lookup(NodeId{0, 2001}, 7);
+  h.node->lookup(NodeId{0, 2002}, 8);
+  h.node->lookup(NodeId{0, 989}, 9);
+  run_until_excluded(h, 1);
+  run_until_excluded(h, 3);
+  ack_lookups(h, {nd(3000, 2), nd(980, 4)});
+  check(2);
+  // Any message heard from an excluded peer lifts its exclusion, and a
+  // message from a peer that is not excluded changes nothing.
+  h.receive(nd(3000, 2), make_refcounted<pastry::RtProbeMsg>(false));
+  check(2);
+  h.receive(nd(2000, 1), make_refcounted<pastry::RtProbeMsg>(false));
+  check(1);
+  // LEAVE from an excluded peer forgets it.
+  h.receive(nd(990, 3), make_refcounted<pastry::LeaveMsg>());
+  EXPECT_FALSE(h.node->currently_excludes(3));
+  check(0);
+  // Exclude node 1 again and let its suspicion probes go unanswered:
+  // mark_faulty forgets it too (the mock answers no repair probe either,
+  // so other members are condemned alongside).
+  h.env.drain();
+  h.node->lookup(NodeId{0, 2001}, 10);
+  run_until_excluded(h, 1);
+  ack_lookups(h, {nd(3000, 2), nd(980, 4)});
+  check(1);
+  h.env.run_for((cfg.max_probe_retries + 1) * cfg.t_o + seconds(1));
+  const auto& faulty = h.env.marked_faulty();
+  ASSERT_NE(std::find(faulty.begin(), faulty.end(), 1), faulty.end());
+  check(0);
 }
 
 // Condemning a peer and hearing its LEAVE forget everything remembered
