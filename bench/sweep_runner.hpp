@@ -1,8 +1,8 @@
 #pragma once
 
 // Parallel trial fan-out for the figure sweeps. Each sweep point is an
-// independent simulation — its own Simulator, Network, MessagePool, Rng
-// and seed — so trials can run on worker threads with no shared mutable
+// independent simulation — its own driver, MessagePool, Rng and seed —
+// so trials can run on worker threads with no shared mutable
 // state beyond a couple of relaxed diagnostic counters
 // (callback_heap_fallbacks, small_vec_spills).
 //

@@ -177,7 +177,7 @@ class BasicInplaceCallback {
   ManageFn manage_ = nullptr;
 };
 
-/// Inline capacity for protocol-node timer callbacks (pastry/chord via
+/// Inline capacity for protocol-node timer callbacks (PastryNode via
 /// Env::schedule): the largest real capture is [this, NodeDescriptor]
 /// = 8 + 24 = 32 bytes; 48 leaves headroom.
 inline constexpr std::size_t kEnvCallbackCapacity = 48;

@@ -2,8 +2,8 @@
 
 // Intrusive, non-atomic reference counting for simulator payloads. The
 // discrete-event core is single-threaded by design (the parallel sweep
-// runner gives every trial its own Simulator/Network/pool, so refcounts
-// are never shared across threads), which makes an atomic control block —
+// runner gives every trial its own driver and pool, so refcounts are
+// never shared across threads), which makes an atomic control block —
 // what shared_ptr pays for on every copy of every message — pure waste on
 // the hot path. See DESIGN.md "Message memory".
 //

@@ -14,7 +14,7 @@
 #include <optional>
 #include <string>
 
-#include "net/network.hpp"
+#include "net/packet.hpp"
 
 namespace mspastry::net {
 

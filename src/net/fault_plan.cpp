@@ -264,7 +264,7 @@ FaultAction FaultPlan::apply(SimTime now, Address from, Address to,
       case FaultKind::kStall:
         break;
       case FaultKind::kAdversarialDrop:
-        break;  // never a plan rule; injected by Network::devour
+        break;  // never a plan rule; injected by an adversarial devour
     }
     if (act.drop) {
       // First dropping rule wins. Duplicates, spikes and reorders that

@@ -6,12 +6,9 @@
 #include <vector>
 
 #include "common/sim_time.hpp"
+#include "net/packet.hpp"
 
 namespace mspastry::net {
-
-/// Endpoint address (same alias as in network.hpp; redeclared here so the
-/// fault layer does not depend on the network header).
-using Address = std::int32_t;
 
 /// The kinds of faults the injection engine can produce. Partitions and
 /// flaps drop packets; delay spikes and reordering perturb delivery times;

@@ -44,8 +44,8 @@ struct PacketFate {
                                ///< (dropped: the dropping kind + stall)
 };
 
-/// The network model's whole per-packet decision, shared by net::Network
-/// and the keyed engine (overlay::ShardedDriver): sender stall, fault
+/// The network model's whole per-packet decision, made for every packet
+/// the keyed engine (overlay::ShardedDriver) sends: sender stall, fault
 /// rules, uniform loss, jitter on the path delay, fault extra delay, and
 /// duplication, in that order. Every draw is a stateless hash keyed by
 /// (seed, sender, per-sender send seq), so the fate of a packet depends

@@ -53,7 +53,7 @@ struct TransitStubParams {
 };
 
 /// GATech-like transit-stub topology. End nodes attach to stub routers
-/// only (via a 1 ms LAN link added by the Network layer, as in the paper).
+/// only (via a 1 ms LAN link, NetworkConfig::lan_delay, as in the paper).
 class TransitStubTopology final : public Topology {
  public:
   explicit TransitStubTopology(const TransitStubParams& params);

@@ -3,7 +3,7 @@
 #include <cstdint>
 
 #include "common/sim_time.hpp"
-#include "net/network.hpp"
+#include "net/packet.hpp"
 
 namespace mspastry::obs {
 

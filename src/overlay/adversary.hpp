@@ -4,7 +4,7 @@
 #include <optional>
 #include <string_view>
 
-#include "net/network.hpp"
+#include "net/packet.hpp"
 #include "pastry/adversary.hpp"
 
 namespace mspastry::overlay {

@@ -28,14 +28,6 @@ void Metrics::on_app_message(SimTime t) {
   if (post_warmup(t)) ++all_total_;
 }
 
-void Metrics::on_unclassified_control(SimTime t) {
-  window_at(t).total += 1.0;
-  if (post_warmup(t)) {
-    ++all_total_;
-    ++control_total_;
-  }
-}
-
 void Metrics::merge_traffic_from(const Metrics& other) {
   if (other.windows_.size() > windows_.size()) {
     windows_.resize(other.windows_.size());

@@ -10,6 +10,7 @@
 #include "common/node_id.hpp"
 #include "common/sim_time.hpp"
 #include "common/stats.hpp"
+#include "net/fault_plan.hpp"
 #include "pastry/message.hpp"
 
 namespace mspastry::overlay {
@@ -67,10 +68,6 @@ class Metrics {
 
   void on_message(SimTime t, pastry::MsgType type);
   void on_app_message(SimTime t);  ///< application traffic outside lookups
-  /// Control message from an overlay without the MSPastry message
-  /// taxonomy (e.g. the Chord baseline): counted in the control totals
-  /// but not in any per-class series.
-  void on_unclassified_control(SimTime t);
   void on_lookup_issued(std::uint64_t id, SimTime t, net::Address src,
                         NodeId key);
 
@@ -100,8 +97,9 @@ class Metrics {
   void population_change(SimTime t, int delta) {
     node_seconds_.change(t, delta);
   }
-  /// One fault event injected by the network's fault plan (wired up by
-  /// the driver through Network::set_injection_observer).
+  /// One fault event injected on a packet: ShardedDriver feeds every
+  /// kind in a packet's fate (PacketFate::injected), each stalled
+  /// arrival, and each packet an adversarial sender devours.
   void on_fault_injected(net::FaultKind k) {
     ++fault_injections_[static_cast<std::size_t>(k)];
   }

@@ -5,7 +5,8 @@
 #include <set>
 
 #include "common/node_id.hpp"
-#include "net/network.hpp"
+#include "common/rng.hpp"
+#include "net/packet.hpp"
 
 namespace mspastry::overlay {
 

@@ -374,9 +374,9 @@ void ShardedDriver::shard_send(std::size_t src_shard, net::Address from,
   }
   ++sh.sent;
 
-  // The fate is judged by the same function as net::Network::send, from
-  // the one plan every shard reads; its draws are keyed by the packet's
-  // identity, so the verdict is the same at every shard count.
+  // The fate is judged by net::packet_fate from the one plan every shard
+  // reads; its draws are keyed by the packet's identity, so the verdict is
+  // the same at every shard count.
   const net::PacketFate fate =
       net::packet_fate(faults_, net_cfg_, net_seed_, now, from, to, send_seq,
                        delay(from, to));

@@ -8,8 +8,9 @@
 #include <vector>
 
 #include "common/node_id.hpp"
+#include "common/sim_time.hpp"
 #include "common/small_vec.hpp"
-#include "net/network.hpp"
+#include "net/packet.hpp"
 #include "pastry/types.hpp"
 
 namespace mspastry::pastry {

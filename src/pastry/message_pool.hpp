@@ -18,7 +18,7 @@
 // the last reference drops.
 //
 // The pool must outlive every message allocated from it — drivers declare
-// it before the Simulator/Network members that hold messages in flight.
+// it before the engine members that hold messages in flight.
 // The destructor asserts this (live() == 0) in debug builds.
 
 #include <atomic>

@@ -5,7 +5,7 @@
 
 #include "common/node_id.hpp"
 #include "common/small_vec.hpp"
-#include "net/network.hpp"
+#include "net/packet.hpp"
 
 namespace mspastry::pastry {
 

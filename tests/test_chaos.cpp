@@ -1,6 +1,6 @@
-// The fault-injection engine (rule stack semantics, determinism, packet
-// accounting) and the chaos harness (scaled-down scenario runs against a
-// live overlay with oracle-checked invariants).
+// The fault-injection engine (rule stack semantics, determinism, per-packet
+// fates, packet accounting) and the chaos harness (scaled-down scenario
+// runs against a live overlay with oracle-checked invariants).
 
 #include "overlay/chaos.hpp"
 
@@ -11,6 +11,7 @@
 #include <tuple>
 #include <vector>
 
+#include "net/packet_fate.hpp"
 #include "net/transit_stub.hpp"
 
 namespace mspastry {
@@ -187,6 +188,67 @@ TEST(FaultPlan, ApplyDependsOnlyOnThePacket) {
                             FaultKind::kReorder, FaultKind::kFlap,
                             FaultKind::kDelaySpike}) {
     EXPECT_NE(seen & net::fault_bit(k), 0) << net::fault_kind_name(k);
+  }
+}
+
+// --------------------------------------------------------- packet fates
+
+/// The fates of `n` packets from 3 to 8 on an empty plan, one per send seq.
+std::vector<net::PacketFate> fates(const net::NetworkConfig& cfg, int n,
+                                   SimDuration path_delay) {
+  const FaultPlan empty(1);
+  std::vector<net::PacketFate> out;
+  for (int i = 0; i < n; ++i) {
+    out.push_back(net::packet_fate(empty, cfg, 5, seconds(1), 3, 8,
+                                   static_cast<std::uint64_t>(i),
+                                   path_delay));
+  }
+  return out;
+}
+
+TEST(PacketFate, UniformLossDropsTheConfiguredShare) {
+  net::NetworkConfig cfg;
+  cfg.loss_rate = 0.20;
+  const int n = 5000;
+  int delivered = 0;
+  for (const auto& f : fates(cfg, n, milliseconds(10))) {
+    if (f.drop) {
+      EXPECT_EQ(f.drop_kind, net::DropKind::kLoss);
+    } else {
+      ++delivered;
+    }
+  }
+  EXPECT_NEAR(static_cast<double>(delivered) / n, 0.80, 0.03);
+}
+
+TEST(PacketFate, ZeroLossDropsNothing) {
+  for (const auto& f : fates(net::NetworkConfig{}, 1000, milliseconds(10))) {
+    EXPECT_FALSE(f.drop);
+    EXPECT_EQ(f.delay, milliseconds(10));
+    EXPECT_EQ(f.depart, seconds(1));
+    EXPECT_EQ(f.copies, 0);
+  }
+}
+
+TEST(PacketFate, JitterStaysWithinTheFractionAndVaries) {
+  net::NetworkConfig cfg;
+  cfg.jitter_fraction = 0.2;
+  const SimDuration path = milliseconds(40);
+  bool varied = false;
+  for (const auto& f : fates(cfg, 200, path)) {
+    ASSERT_FALSE(f.drop);
+    EXPECT_GE(f.delay, static_cast<SimDuration>(path * 0.8));
+    EXPECT_LE(f.delay, static_cast<SimDuration>(path * 1.2));
+    if (f.delay != path) varied = true;
+  }
+  EXPECT_TRUE(varied);
+}
+
+TEST(PacketFate, ZeroPathDelayStillTakesAMicrosecond) {
+  // A packet to oneself has no path, yet its delivery is never
+  // synchronous with the send.
+  for (const auto& f : fates(net::NetworkConfig{}, 10, 0)) {
+    EXPECT_EQ(f.delay, 1);
   }
 }
 

@@ -166,9 +166,8 @@ TEST(Metrics, WindowsWithoutMessagesAreAbsentFromEverySeries) {
   m.population_change(0, 2);
   m.on_message(seconds(5), MsgType::kHeartbeat);  // window 0
   m.on_app_message(seconds(25));                  // window 2: app only
-  m.on_unclassified_control(seconds(35));         // window 3: unclassified
   m.on_message(seconds(55), MsgType::kLookup);    // window 5
-  // Windows 1 and 4 saw nothing; 2 and 3 saw nothing classified.
+  // Windows 1, 3 and 4 saw nothing; 2 saw nothing classified.
   const auto starts = [](const std::vector<Metrics::SeriesPoint>& s) {
     std::vector<double> t;
     for (const auto& p : s) t.push_back(p.t_seconds);
@@ -180,7 +179,7 @@ TEST(Metrics, WindowsWithoutMessagesAreAbsentFromEverySeries) {
       starts(m.control_traffic_series(TrafficClass::kJoin, seconds(60))),
       classified);
   EXPECT_EQ(starts(m.total_traffic_series(seconds(60))),
-            (std::vector<double>{0.0, 20.0, 30.0, 50.0}));
+            (std::vector<double>{0.0, 20.0, 50.0}));
 }
 
 TEST(Metrics, MergedPerShardTrafficEqualsOneLedger) {
@@ -203,8 +202,6 @@ TEST(Metrics, MergedPerShardTrafficEqualsOneLedger) {
   msg(b, seconds(91), MsgType::kJoinRequest);
   a.on_app_message(seconds(44));
   one.on_app_message(seconds(44));
-  b.on_unclassified_control(seconds(66));
-  one.on_unclassified_control(seconds(66));
   a.on_fault_injected(net::FaultKind::kLoss);
   one.on_fault_injected(net::FaultKind::kLoss);
 
@@ -236,7 +233,7 @@ TEST(Metrics, MergedPerShardTrafficEqualsOneLedger) {
   EXPECT_EQ(merged.control_traffic_rate(), one.control_traffic_rate());
   EXPECT_EQ(merged.total_traffic_rate(), one.total_traffic_rate());
   EXPECT_EQ(merged.fault_injections(net::FaultKind::kLoss), 1u);
-  EXPECT_EQ(merged.total_traffic_series(end).size(), 6u);
+  EXPECT_EQ(merged.total_traffic_series(end).size(), 5u);
 }
 
 TEST(Metrics, AppMessagesCountTowardTotalOnly) {

@@ -3,6 +3,9 @@
 #include <array>
 #include <cstring>
 #include <memory>
+#include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "net/transit_stub.hpp"
@@ -188,6 +191,61 @@ TEST(ShardedDriver, ZeroLookaheadTopologyFallsBackToSingleShard) {
   EXPECT_EQ(d.requested_shards(), 4u);
   d.run_trace(small_trace());
   EXPECT_GT(d.metrics().lookups_delivered_correct(), 100u);
+}
+
+/// Eight routers, of which only the odd ones take end nodes; records
+/// every router pair the driver asks a delay for.
+class OddRoutersTopology final : public net::Topology {
+ public:
+  int router_count() const override { return 8; }
+  SimDuration delay(int a, int b) const override {
+    queried.emplace_back(a, b);
+    return a == b ? 0 : milliseconds(10 + a + b);
+  }
+  std::string name() const override { return "odd-routers"; }
+  bool attachable(int router) const override { return router % 2 == 1; }
+  SimDuration min_positive_delay() const override { return milliseconds(10); }
+
+  mutable std::vector<std::pair<int, int>> queried;
+};
+
+TEST(ShardedDriver, AddNodeAttachesOnlyToAttachableRouters) {
+  const auto t = std::make_shared<OddRoutersTopology>();
+  ShardedDriver d(t, {}, small_config(), 1);
+  std::vector<net::Address> added;
+  for (int i = 0; i < 40; ++i) added.push_back(d.add_node());
+  for (const net::Address a : added) {
+    for (const net::Address b : added) d.delay(a, b);
+  }
+  std::set<int> used;
+  for (const auto& [a, b] : t->queried) {
+    EXPECT_EQ(a % 2, 1) << "router " << a;
+    EXPECT_EQ(b % 2, 1) << "router " << b;
+    used.insert(a);
+    used.insert(b);
+  }
+  EXPECT_EQ(used, (std::set<int>{1, 3, 5, 7}));  // and every one of them
+}
+
+TEST(ShardedDriver, DelayIncludesBothLanLinksAndIsZeroToSelf) {
+  const auto t = std::make_shared<OddRoutersTopology>();
+  net::NetworkConfig nc;
+  nc.lan_delay = milliseconds(3);
+  ShardedDriver d(t, nc, small_config(), 1);
+  std::vector<net::Address> added;
+  for (int i = 0; i < 6; ++i) added.push_back(d.add_node());
+  for (const net::Address a : added) {
+    EXPECT_EQ(d.delay(a, a), 0);
+    for (const net::Address b : added) {
+      if (a == b) continue;
+      t->queried.clear();
+      const SimDuration ab = d.delay(a, b);
+      ASSERT_EQ(t->queried.size(), 1u);
+      const auto [ra, rb] = t->queried.back();
+      EXPECT_EQ(ab, t->delay(ra, rb) + 2 * milliseconds(3));
+      EXPECT_EQ(ab, d.delay(b, a));
+    }
+  }
 }
 
 TEST(ShardedDriver, FaultRecipeIsShardCountInvariant) {
