@@ -35,7 +35,7 @@ DelayOracle::DelayOracle(const RoutedGraph& graph, std::vector<int> cluster_of,
       landmark_mode_ = true;
       break;
     case DelayOracleMode::kAuto:
-      landmark_mode_ = graph_.router_count() > params_.exact_threshold;
+      landmark_mode_ = graph_.router_count() > kExactThreshold;
       break;
   }
   if (landmark_mode_) build_landmark_tables();

@@ -20,6 +20,25 @@ constexpr int kHealPhase = 2;
 // door — diagnostic signal, excluded from the SLO rates.
 constexpr int kDiagPhase = 3;
 
+// Background Poisson lookup workload (drives suppression and RTO
+// estimators the way real traffic would).
+constexpr double kBgLookupRate = 0.02;
+
+// Harness-tracked probe lookups: one every kProbeInterval, outcomes
+// checked against the oracle per phase.
+constexpr SimDuration kProbeInterval = seconds(2);
+
+// Gray failure: a stall shorter than the condemnation time.
+constexpr SimDuration kStallWindow = seconds(8);
+// Wait after reconvergence.
+constexpr SimDuration kHealGrace = seconds(30);
+
+// Adversary scenarios: fraction of the built overlay corrupted
+// (byzantine-*), and the lookup redundancy switched on (with the
+// plausibility checks) as a countermeasure.
+constexpr double kAdversaryFraction = 0.2;
+constexpr int kAdversaryRedundancy = 3;
+
 enum class Scenario {
   kAsymPartition,
   kFlap,
@@ -100,10 +119,10 @@ void ChaosHarness::build_overlay(std::uint64_t seed, bool harden) {
   if (harden) {
     // Adversary scenarios gate the *defended* system: both
     // countermeasures on (the undefended ablation is tab_adversary's).
-    dcfg.pastry.lookup_redundancy = cfg_.adversary_redundancy;
+    dcfg.pastry.lookup_redundancy = kAdversaryRedundancy;
     dcfg.pastry.leaf_plausibility_checks = true;
   }
-  dcfg.lookup_rate_per_node = cfg_.bg_lookup_rate;
+  dcfg.lookup_rate_per_node = kBgLookupRate;
   dcfg.warmup = 0;
   dcfg.seed = seed;
   dcfg.obs = cfg_.obs;
@@ -149,9 +168,9 @@ void ChaosHarness::issue_probe(int phase, const NodeId* key) {
 }
 
 void ChaosHarness::probe_until(SimTime until, int phase, const NodeId* key) {
-  while (driver_->now() + cfg_.probe_interval <= until) {
+  while (driver_->now() + kProbeInterval <= until) {
     issue_probe(phase, key);
-    driver_->run_for(cfg_.probe_interval);
+    driver_->run_for(kProbeInterval);
   }
   if (driver_->now() < until) {
     driver_->run_until(until);
@@ -233,7 +252,7 @@ std::vector<net::FaultRule> ChaosHarness::make_schedule(
       break;
     }
     case Scenario::kGrayStall: {
-      auto r = FaultRule::stall({victim}, t0, t0 + cfg_.stall_window);
+      auto r = FaultRule::stall({victim}, t0, t0 + kStallWindow);
       r.seed = rng.next_u64();
       r.label = "gray failure: victim frozen, endpoint stays bound";
       rules.push_back(std::move(r));
@@ -258,7 +277,7 @@ std::vector<net::FaultRule> ChaosHarness::make_schedule(
       f.label = "second victim flapping";
       rules.push_back(std::move(f));
       auto s = FaultRule::stall({victim}, t0 + seconds(10),
-                                t0 + seconds(10) + cfg_.stall_window);
+                                t0 + seconds(10) + kStallWindow);
       s.seed = rng.next_u64();
       s.label = "first victim gray-stalled";
       rules.push_back(std::move(s));
@@ -325,7 +344,7 @@ std::vector<net::FaultRule> ChaosHarness::make_schedule(
           default:
             r = FaultRule::stall(
                 {target}, start,
-                std::min<SimTime>(end, start + cfg_.stall_window));
+                std::min<SimTime>(end, start + kStallWindow));
             break;
         }
         r.seed = rng.next_u64();
@@ -370,7 +389,7 @@ ChaosResult ChaosHarness::run(const std::string& scenario) {
       adv.eclipse_sybils = cfg_.eclipse_sybils;
       adv.eclipse_victim = victim_key;
     } else {
-      adv.fraction = cfg_.adversary_fraction;
+      adv.fraction = kAdversaryFraction;
     }
     driver_->set_adversary(adv);
     if (kind == Scenario::kEclipse) {
@@ -392,7 +411,7 @@ ChaosResult ChaosHarness::run(const std::string& scenario) {
 
   const SimTime t0 = driver_->now();
   const SimTime t1 =
-      kind == Scenario::kGrayStall ? t0 + cfg_.stall_window
+      kind == Scenario::kGrayStall ? t0 + kStallWindow
                                    : t0 + cfg_.fault_window;
 
   std::vector<net::Address> minority;
@@ -411,11 +430,11 @@ ChaosResult ChaosHarness::run(const std::string& scenario) {
     // peers' verdicts just before the stall releases.
     const SimTime check_at = t1 - milliseconds(500);
     int i = 0;
-    while (driver_->now() + cfg_.probe_interval <= check_at) {
+    while (driver_->now() + kProbeInterval <= check_at) {
       const bool at_victim = (i++ % 2 == 0);
       issue_probe(at_victim ? kDiagPhase : kFaultPhase,
                   at_victim ? &victim_key : nullptr);
-      driver_->run_for(cfg_.probe_interval);
+      driver_->run_for(kProbeInterval);
     }
     driver_->run_until(check_at);
     for (const net::Address a : driver_->live_addresses()) {
@@ -429,10 +448,10 @@ ChaosResult ChaosHarness::run(const std::string& scenario) {
     // Alternate probes for the eclipsed victim's own key (the attack
     // target) with uniform honest-rooted probes (collateral damage).
     int i = 0;
-    while (driver_->now() + cfg_.probe_interval <= t1) {
+    while (driver_->now() + kProbeInterval <= t1) {
       const bool at_victim = (i++ % 2 == 0);
       issue_probe(kFaultPhase, at_victim ? &victim_key : nullptr);
-      driver_->run_for(cfg_.probe_interval);
+      driver_->run_for(kProbeInterval);
     }
     driver_->run_until(t1);
   } else {
@@ -462,19 +481,19 @@ ChaosResult ChaosHarness::run(const std::string& scenario) {
 
   res.reconverge_seconds =
       measure_reconvergence(heal_at, cfg_.slo.max_reconverge);
-  driver_->run_for(cfg_.heal_grace);
+  driver_->run_for(kHealGrace);
 
   // --- Post-heal probes: strict correctness expected ---------------------
   if (gray) {
     // The stalled node must serve its own keys again.
     for (int i = 0; i < 3; ++i) {
       issue_probe(kHealPhase, &victim_key);
-      driver_->run_for(cfg_.probe_interval);
+      driver_->run_for(kProbeInterval);
     }
   }
   for (int i = 0; i < cfg_.heal_probes; ++i) {
     issue_probe(kHealPhase, nullptr);
-    driver_->run_for(cfg_.probe_interval);
+    driver_->run_for(kProbeInterval);
   }
   driver_->run_for(seconds(30));  // let stragglers land
   const bool victim_alive = driver_->node(victim) != nullptr;
@@ -586,7 +605,7 @@ void ChaosHarness::attach_observability(ChaosResult& res) {
   ecfg.overlay_size = driver_->oracle().active_count();
   ecfg.t_ls = cfg_.pastry.t_ls;
   ecfg.t_o = cfg_.pastry.t_o;
-  ecfg.failed_entry_ttl = cfg_.pastry.failed_entry_ttl;
+  ecfg.failed_entry_ttl = pastry::kFailedEntryTtl;
   // Ground-truth delivery verdicts recorded by the driver feed the
   // delivered-at-oracle-root rule: a misdelivery (e.g. an adversarial
   // root claim on the traced copy) is flagged with its causal path.

@@ -40,28 +40,14 @@ struct ChaosConfig {
   /// prints the same results.
   std::size_t shards = 1;
 
-  /// Background Poisson lookup workload (drives suppression and RTO
-  /// estimators the way real traffic would).
-  double bg_lookup_rate = 0.02;
-
-  /// Harness-tracked probe lookups: one every probe_interval, outcomes
-  /// checked against the oracle per phase.
-  SimDuration probe_interval = seconds(2);
-
   SimDuration settle = minutes(3);       ///< ring build-out before faults
   SimDuration fault_window = seconds(60);
-  SimDuration stall_window = seconds(8); ///< gray failure: < condemnation time
-  SimDuration heal_grace = seconds(30);  ///< wait after reconvergence
   int heal_probes = 30;
 
   pastry::Config pastry{};
   ChaosSlo slo{};
 
-  /// Adversary scenarios: fraction of the built overlay corrupted
-  /// (byzantine-*), lookup redundancy and plausibility checks switched on
-  /// as countermeasures, and the sybil cluster size for eclipse-victim.
-  double adversary_fraction = 0.2;
-  int adversary_redundancy = 3;
+  /// Sybil cluster size for the eclipse-victim scenario.
   int eclipse_sybils = 16;
 
   /// Chaos runs trace every lookup by default (sampling off costs nothing

@@ -92,7 +92,6 @@ void Metrics::record_correct(const LookupRecord& rec, SimTime t,
     if (counted) {
       rdp_.add(rdp);
       rdp_samples_.add(rdp);
-      delay_.add(to_seconds(t - rec.issued_at));
     }
     rdp_series_.add(t, rdp);
   }

@@ -144,8 +144,6 @@ class Metrics {
     return issued_ ? static_cast<double>(incorrect_) / issued_ : 0.0;
   }
   double mean_rdp() const { return rdp_.mean(); }
-  const RunningStats& rdp_stats() const { return rdp_; }
-  const RunningStats& hop_delay_stats() const { return delay_; }
   /// Per-lookup RDP samples (for quantiles; the mean is sensitive to the
   /// heavy tail that churn produces).
   SampleSet& rdp_samples() { return rdp_samples_; }
@@ -242,7 +240,6 @@ class Metrics {
   std::uint64_t lost_ = 0;
   std::uint64_t lost_adversarial_ = 0;
   RunningStats rdp_;
-  RunningStats delay_;
   SampleSet rdp_samples_;
   WindowedSeries rdp_series_;
 

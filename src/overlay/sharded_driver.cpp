@@ -19,6 +19,10 @@ constexpr std::uint64_t kAdvSybilSalt = 0x73796269ull;  // "sybi"
 /// redraw attempts so a pathological population cannot loop forever.
 constexpr int kHonestKeyRedraws = 64;
 
+/// Lookups issued within this long of the end of the run are not counted
+/// as lost (they may legitimately still be in flight).
+constexpr SimDuration kLossGrace = seconds(60);
+
 /// Delivery-time dither, hashed from the packet identity: 0..127 us added
 /// to every delay. Same-instant arrivals at one receiver from *different*
 /// senders would otherwise be ordered by simulator scheduling order,
@@ -39,38 +43,6 @@ SimDuration compute_lookahead(const net::Topology& topo,
       static_cast<double>(base) * (1.0 - nc.jitter_fraction);
   if (scaled <= 0.0) return 0;
   return static_cast<SimDuration>(scaled);
-}
-
-void add_counters(pastry::Counters& into, const pastry::Counters& c) {
-  into.heartbeats_sent += c.heartbeats_sent;
-  into.heartbeats_suppressed += c.heartbeats_suppressed;
-  into.rt_probes_sent += c.rt_probes_sent;
-  into.rt_probes_suppressed += c.rt_probes_suppressed;
-  into.rt_probes_periodic += c.rt_probes_periodic;
-  into.ls_probes_sent += c.ls_probes_sent;
-  into.ls_probes_join += c.ls_probes_join;
-  into.ls_probes_candidate += c.ls_probes_candidate;
-  into.ls_probes_candidate_active += c.ls_probes_candidate_active;
-  into.ls_probes_confirm += c.ls_probes_confirm;
-  into.ls_probes_announce += c.ls_probes_announce;
-  into.ls_probes_repair += c.ls_probes_repair;
-  into.ls_probes_suspect += c.ls_probes_suspect;
-  into.distance_probes_sent += c.distance_probes_sent;
-  into.acks_sent += c.acks_sent;
-  into.ack_timeouts += c.ack_timeouts;
-  into.nodes_marked_faulty += c.nodes_marked_faulty;
-  into.false_positives += c.false_positives;
-  into.lookups_forwarded += c.lookups_forwarded;
-  into.lookups_dropped_no_route += c.lookups_dropped_no_route;
-  into.joins_started += c.joins_started;
-  into.joins_completed += c.joins_completed;
-  into.lookups_dropped_adversarial += c.lookups_dropped_adversarial;
-  into.lookups_misrouted_adversarial += c.lookups_misrouted_adversarial;
-  into.ls_replies_corrupted += c.ls_replies_corrupted;
-  into.nn_replies_corrupted += c.nn_replies_corrupted;
-  into.redundant_lookup_copies += c.redundant_lookup_copies;
-  into.leaf_candidates_rejected += c.leaf_candidates_rejected;
-  into.failure_claims_distrusted += c.failure_claims_distrusted;
 }
 
 }  // namespace
@@ -1098,7 +1070,7 @@ void ShardedDriver::finish() {
   finished_ = true;
   workload_on_ = false;
   for (auto& sh : shards_) metrics_.merge_traffic_from(*sh->traffic);
-  metrics_.finalize(now(), cfg_.loss_grace);
+  metrics_.finalize(now(), kLossGrace);
   merge_obs();
 }
 
@@ -1132,7 +1104,7 @@ Oracle& ShardedDriver::oracle() {
 
 pastry::Counters ShardedDriver::counters() const {
   pastry::Counters total;
-  for (const auto& sh : shards_) add_counters(total, sh->counters);
+  for (const auto& sh : shards_) total += sh->counters;
   total.false_positives += ledger_false_positives_;
   return total;
 }

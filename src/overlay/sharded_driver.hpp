@@ -37,10 +37,6 @@ struct DriverConfig {
   SimDuration metrics_window = minutes(10);
   SimDuration warmup = minutes(20);
 
-  /// Lookups issued within this long of the end of the run are not
-  /// counted as lost (they may legitimately still be in flight).
-  SimDuration loss_grace = seconds(60);
-
   /// Observability (causal path tracing, src/obs). Disabled by default:
   /// no TraceDomain is created and every node's recorder pointer is null.
   obs::ObsConfig obs;

@@ -6,10 +6,81 @@
 
 namespace mspastry::pastry {
 
-/// All MSPastry protocol knobs. Defaults are the paper's base
-/// configuration (Section 5.1): b=4, l=32, Tls=30 s, To=3 s, two probe
-/// retries, per-hop acks, routing-table probing self-tuned to a 5% raw
-/// loss rate, probe suppression, and symmetric distance probes.
+// --- Fixed protocol constants ------------------------------------------
+//
+// The paper holds these at one value in every experiment, so they are
+// constants rather than Config fields.
+
+/// Probes are retried this many times before a node is marked faulty.
+inline constexpr int kMaxProbeRetries = 2;
+
+/// Same-destination retransmits before an unresponsive next hop is
+/// excluded and the message rerouted. One retransmit absorbs a single
+/// lost ack cheaply; after that the node is treated as suspect.
+inline constexpr int kAckRetransmits = 1;
+
+/// Give up on a message after this many same-destination retransmits
+/// (the probe resolves the node's fate long before this; only relevant
+/// with Config::exclude_root_on_ack_timeout = false).
+inline constexpr int kMaxSameDestRetransmits = 20;
+
+/// Aggressive retransmission: RTO = srtt + kRtoVarFactor * rttvar,
+/// clamped to [kRtoMin, kRtoMax]. No TCP-style 1 s floor because Pastry
+/// can fail over to an alternative next hop.
+inline constexpr SimDuration kRtoMin = milliseconds(30);
+inline constexpr SimDuration kRtoMax = seconds(3);
+inline constexpr double kRtoVarFactor = 4.0;
+
+/// Safety bound on overlay route length (loops cannot normally occur;
+/// this caps pathological routing under heavy churn).
+inline constexpr int kMaxRouteHops = 64;
+
+/// Upper bound on the routing-table probe period Trt: keeps probing alive
+/// in near-static systems (the lower bound is Config::t_rt_min).
+inline constexpr SimDuration kTrtMax = hours(2);
+
+/// How many past failures the failure-rate estimator remembers (K).
+inline constexpr int kFailureHistory = 16;
+
+/// Entries in the failed set expire after this long: a session address
+/// never returns in the crash model, so the set is only consulted to
+/// avoid re-probing recent corpses; expiring entries bounds memory and
+/// lets nodes wrongly condemned during a network partition be
+/// re-learned once connectivity returns.
+inline constexpr SimDuration kFailedEntryTtl = minutes(10);
+
+/// Distance probes per measurement; the median is used (3 spaced 1 s
+/// apart, per Section 4.2).
+inline constexpr int kDistanceProbeCount = 3;
+inline constexpr SimDuration kDistanceProbeSpacing = seconds(1);
+
+/// Do not re-measure the distance to a candidate more often than this:
+/// gossip keeps re-offering nearby nodes that never win a slot, and
+/// re-probing them every maintenance round is wasted traffic.
+inline constexpr SimDuration kDistanceMeasurementTtl = minutes(40);
+
+/// Nearest-neighbour seed discovery: max hill-climbing iterations and
+/// candidates probed per iteration (single probe each, per Section 4.2).
+inline constexpr int kNnMaxIterations = 8;
+inline constexpr int kNnSample = 12;
+
+/// Density threshold for the leaf-set plausibility check (a) (see
+/// Config::leaf_plausibility_checks): a candidate is rejected when its
+/// ring distance to this node (or to the nearest current member) is below
+/// (2^128 / N̂) / kLeafDensityFactor, where N̂ is the leaf-set density
+/// estimate of the overlay size. Sybil clusters packed around a victim
+/// id sit orders of magnitude below this; honest neighbors almost
+/// never do (spacings are exponentially distributed around the mean, so
+/// P(reject an honest neighbor) ~ 1/factor per admission — the factor
+/// must be large enough that a whole run admits every true ring
+/// neighbor, or the ring never reconverges).
+inline constexpr double kLeafDensityFactor = 4096.0;
+
+/// All MSPastry protocol knobs. Defaults, with the constants above, are
+/// the paper's base configuration (Section 5.1): b=4, l=32, Tls=30 s,
+/// To=3 s, two probe retries, per-hop acks, routing-table probing
+/// self-tuned to a 5% raw loss rate, probe suppression, and symmetric
+/// distance probes.
 ///
 /// The boolean switches exist so the ablation experiments in Section 5.3
 /// (active probing vs per-hop acks, self-tuning targets, suppression) can
@@ -27,18 +98,10 @@ struct Config {
   /// Probe timeout To; the paper picks the TCP SYN timeout, 3 s.
   SimDuration t_o = seconds(3);
 
-  /// Probes are retried this many times before a node is marked faulty.
-  int max_probe_retries = 2;
-
   // --- Reliable routing -----------------------------------------------
 
   /// Per-hop acknowledgements with rerouting on timeout.
   bool per_hop_acks = true;
-
-  /// Same-destination retransmits before an unresponsive next hop is
-  /// excluded and the message rerouted. One retransmit absorbs a single
-  /// lost ack cheaply; after that the node is treated as suspect.
-  int ack_retransmits = 1;
 
   /// When true (the paper's default, Section 3.2), an ack timeout
   /// excludes the destination from routing even at the final hop — in a
@@ -51,23 +114,8 @@ struct Config {
   /// latency).
   bool exclude_root_on_ack_timeout = true;
 
-  /// Give up on a message after this many same-destination retransmits
-  /// (the probe resolves the node's fate long before this; only relevant
-  /// with exclude_root_on_ack_timeout = false).
-  int max_same_dest_retransmits = 20;
-
-  /// Aggressive retransmission: RTO = srtt + rto_var_factor * rttvar,
-  /// clamped to [rto_min, rto_max]. No TCP-style 1 s floor because Pastry
-  /// can fail over to an alternative next hop.
-  SimDuration rto_min = milliseconds(30);
-  SimDuration rto_max = seconds(3);
-  double rto_var_factor = 4.0;
   /// RTO used for a destination with no RTT sample yet.
   SimDuration rto_initial = seconds(1);
-
-  /// Safety bound on overlay route length (loops cannot normally occur;
-  /// this caps pathological routing under heavy churn).
-  int max_route_hops = 64;
 
   // --- Active failure detection ---------------------------------------
 
@@ -84,20 +132,9 @@ struct Config {
 
   SimDuration t_rt_fixed = seconds(30);
 
-  /// Lower bound (retries+1)*To = 9 s, per the paper; upper bound keeps
-  /// probing alive in near-static systems.
+  /// Lower bound (retries+1)*To = 9 s, per the paper; the upper bound is
+  /// kTrtMax.
   SimDuration t_rt_min = seconds(9);
-  SimDuration t_rt_max = hours(2);
-
-  /// How many past failures the failure-rate estimator remembers (K).
-  int failure_history = 16;
-
-  /// Entries in the failed set expire after this long: a session address
-  /// never returns in the crash model, so the set is only consulted to
-  /// avoid re-probing recent corpses; expiring entries bounds memory and
-  /// lets nodes wrongly condemned during a network partition be
-  /// re-learned once connectivity returns.
-  SimDuration failed_entry_ttl = minutes(10);
 
   /// Suppress probes/heartbeats when any message was exchanged recently.
   bool suppression = true;
@@ -107,11 +144,6 @@ struct Config {
   /// PNS on/off. Off fills routing-table slots first-come-first-served.
   bool pns = true;
 
-  /// Distance probes per measurement; the median is used (default 3
-  /// spaced 1 s apart, per Section 4.2).
-  int distance_probe_count = 3;
-  SimDuration distance_probe_spacing = seconds(1);
-
   /// Symmetric distance probing: report measured RTTs back so the peer
   /// need not probe again.
   bool symmetric_probes = true;
@@ -119,17 +151,7 @@ struct Config {
   /// Periodic routing-table maintenance period (20 min in the paper).
   SimDuration rt_maintenance_period = minutes(20);
 
-  /// Do not re-measure the distance to a candidate more often than this:
-  /// gossip keeps re-offering nearby nodes that never win a slot, and
-  /// re-probing them every maintenance round is wasted traffic.
-  SimDuration distance_measurement_ttl = minutes(40);
-
   // --- Join -------------------------------------------------------------
-
-  /// Nearest-neighbour seed discovery: max hill-climbing iterations and
-  /// candidates probed per iteration (single probe each, per Section 4.2).
-  int nn_max_iterations = 8;
-  int nn_sample = 12;
 
   /// Timeout for the single-sample nearest-neighbour probes. Shorter than
   /// To: a dead candidate only delays the join, never triggers a faulty
@@ -157,17 +179,6 @@ struct Config {
   /// the probe itself times out, instead of dropping it on hearsay.
   bool leaf_plausibility_checks = false;
 
-  /// Density threshold for (a): a candidate is rejected when its ring
-  /// distance to this node (or to the nearest current member) is below
-  /// (2^128 / N̂) / leaf_density_factor, where N̂ is the leaf-set density
-  /// estimate of the overlay size. Sybil clusters packed around a victim
-  /// id sit orders of magnitude below this; honest neighbors almost
-  /// never do (spacings are exponentially distributed around the mean, so
-  /// P(reject an honest neighbor) ~ 1/factor per admission — the factor
-  /// must be large enough that a whole run admits every true ring
-  /// neighbor, or the ring never reconverges).
-  double leaf_density_factor = 4096.0;
-
   // --- Test-only fault injection ----------------------------------------
 
   /// Mutation knob for the expectation checker's self-test: when set, an
@@ -183,7 +194,7 @@ struct Config {
   SimDuration probe_detect_time() const {
     // Worst-case time from failure to detection via probing: one period
     // plus (retries+1) timeouts. Used by the self-tuner.
-    return (max_probe_retries + 1) * t_o;
+    return (kMaxProbeRetries + 1) * t_o;
   }
 };
 

@@ -173,6 +173,9 @@ class PastryNode {
   void on_ack(net::Address from, std::uint64_t hop_seq);
   void on_ack_timeout(std::uint64_t hop_seq);
   SimDuration rto_for(net::Address a) const;
+  /// A fresh pool copy of a routed message (a lookup or a join request):
+  /// routed messages are owned per hop, so each send mutates its own.
+  IntrusivePtr<RoutedMessage> clone_routed(const RoutedMessage& m);
 
   // --- Consistency: leaf-set probing (Figure 2) ----------------------------
   /// Send a leaf-set probe. `announce_on_timeout` marks first-hand
@@ -298,7 +301,7 @@ class PastryNode {
 
   /// Nodes believed faulty (Figure 2's failedi), keyed by address, with
   /// the time the verdict was reached (entries expire after
-  /// Config::failed_entry_ttl).
+  /// kFailedEntryTtl).
   struct FailedEntry {
     NodeDescriptor node;
     SimTime since = 0;

@@ -52,7 +52,7 @@ void PastryNode::on_ls_probe_timeout(net::Address j) {
   if (it == ls_probing_.end()) return;
   LsProbeState& st = it->second;
   st.timer = kInvalidTimer;
-  if (st.retries < cfg_.max_probe_retries) {
+  if (st.retries < kMaxProbeRetries) {
     st.retries += 1;
     auto m = make_msg<LsProbeMsg>(env_.pool(), /*reply=*/false);
     m->leaf = leaf_.members();
@@ -396,7 +396,7 @@ bool PastryNode::plausible_leaf_candidate(const NodeDescriptor& d) const {
   if (leaf_.size() < cfg_.l / 2) return true;
   const double n_hat = estimate_overlay_size();
   constexpr double kRing = 340282366920938463463374607431768211456.0;  // 2^128
-  const double min_spacing = kRing / n_hat / cfg_.leaf_density_factor;
+  const double min_spacing = kRing / n_hat / kLeafDensityFactor;
   if (self_.id.ring_distance_to(d.id).to_double() < min_spacing) return false;
   for (const NodeDescriptor& m : leaf_.members()) {
     if (m.id.ring_distance_to(d.id).to_double() < min_spacing) return false;

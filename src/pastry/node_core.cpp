@@ -14,8 +14,8 @@ PastryNode::PastryNode(const Config& cfg, NodeDescriptor self, Env& env,
       rec_(env.recorder()),
       leaf_(self.id, cfg.l),
       rt_(self.id, cfg.b, env.routing_arena()),
-      fail_est_(cfg.failure_history),
-      trt_local_s_(to_seconds(cfg.self_tuning ? cfg.t_rt_max : cfg.t_rt_fixed)),
+      fail_est_(kFailureHistory),
+      trt_local_s_(to_seconds(cfg.self_tuning ? kTrtMax : cfg.t_rt_fixed)),
       trt_current_s_(trt_local_s_) {}
 
 PastryNode::~PastryNode() {
@@ -103,7 +103,7 @@ bool PastryNode::in_failed(net::Address a) const {
   if (failed_.empty()) return false;
   const auto it = failed_.find(a);
   if (it == failed_.end()) return false;
-  if (env_.now() - it->second.since > cfg_.failed_entry_ttl) {
+  if (env_.now() - it->second.since > kFailedEntryTtl) {
     // Lazy expiry: const_cast is confined here; the set is a cache of
     // verdicts, not protocol-visible state.
     const_cast<PastryNode*>(this)->failed_.erase(a);
@@ -292,7 +292,7 @@ void PastryNode::handle(net::Address from, const MessagePtr& msg) {
         const auto* cur = rt_.get(r, c);
         if (cur != nullptr && !cfg_.pns) continue;  // slot taken, no PNS
         start_distance_session(d, ProbePurpose::kRtCandidate,
-                               cfg_.distance_probe_count);
+                               kDistanceProbeCount);
       }
       return;
     }
@@ -326,7 +326,7 @@ void PastryNode::handle(net::Address from, const MessagePtr& msg) {
         // Passive repair: probe before inserting (never insert during
         // repair without hearing from the node directly).
         start_distance_session(m.entry, ProbePurpose::kRtCandidate,
-                               cfg_.distance_probe_count);
+                               kDistanceProbeCount);
       }
       return;
     }
@@ -454,7 +454,7 @@ NodeDescriptor PastryNode::next_hop(
 
 void PastryNode::route(const IntrusivePtr<RoutedMessage>& m,
                        const std::vector<net::Address>& excluded) {
-  if (m->hops >= cfg_.max_route_hops) {
+  if (m->hops >= kMaxRouteHops) {
     ++counters_.lookups_dropped_no_route;
     trace_path(obs::EventKind::kDrop, m->trace_id, net::kNullAddress, m->hops);
     return;
@@ -623,22 +623,23 @@ SimDuration PastryNode::rto_for(net::Address a) const {
   // aggressive timeout from it; otherwise use the configured initial RTO.
   const RoutingTable::Entry* e = rt_.find(a);
   if (e != nullptr && e->rtt != kTimeNever) {
-    return std::clamp(2 * e->rtt, cfg_.rto_min, cfg_.rto_max);
+    return std::clamp(2 * e->rtt, kRtoMin, kRtoMax);
   }
   return cfg_.rto_initial;
+}
+
+IntrusivePtr<RoutedMessage> PastryNode::clone_routed(const RoutedMessage& m) {
+  if (m.type == MsgType::kLookup) {
+    return make_msg<LookupMsg>(env_.pool(), static_cast<const LookupMsg&>(m));
+  }
+  return make_msg<JoinRequestMsg>(env_.pool(),
+                                  static_cast<const JoinRequestMsg&>(m));
 }
 
 void PastryNode::forward(const IntrusivePtr<RoutedMessage>& m,
                          const NodeDescriptor& next,
                          std::vector<net::Address> excluded) {
-  // Routed messages are owned per hop; clone for mutation.
-  IntrusivePtr<RoutedMessage> copy;
-  if (m->type == MsgType::kLookup) {
-    copy = make_msg<LookupMsg>(env_.pool(), static_cast<const LookupMsg&>(*m));
-  } else {
-    copy = make_msg<JoinRequestMsg>(env_.pool(),
-                                    static_cast<const JoinRequestMsg&>(*m));
-  }
+  IntrusivePtr<RoutedMessage> copy = clone_routed(*m);
   copy->hops = m->hops + 1;
   if (m->type == MsgType::kLookup) ++counters_.lookups_forwarded;
 
@@ -701,16 +702,9 @@ void PastryNode::on_ack_timeout(std::uint64_t hop_seq) {
 
   // A single lost ack is recovered by retransmitting to the same
   // destination before treating it as suspect.
-  if (pending.same_dest_retries < cfg_.ack_retransmits) {
+  if (pending.same_dest_retries < kAckRetransmits) {
     const std::uint64_t seq = next_hop_seq_++;
-    pending.msg = [&]() -> IntrusivePtr<RoutedMessage> {
-      if (pending.msg->type == MsgType::kLookup) {
-        return make_msg<LookupMsg>(
-            env_.pool(), static_cast<const LookupMsg&>(*pending.msg));
-      }
-      return make_msg<JoinRequestMsg>(
-          env_.pool(), static_cast<const JoinRequestMsg&>(*pending.msg));
-    }();
+    pending.msg = clone_routed(*pending.msg);
     pending.msg->hop_seq = seq;
     pending.same_dest_retries += 1;
     pending.sent_at = env_.now();
@@ -757,21 +751,14 @@ void PastryNode::on_ack_timeout(std::uint64_t hop_seq) {
   int ec = -1;
   const NodeDescriptor next = next_hop(pending.msg->key, excl, &fb, &er, &ec);
   if (next.valid() && next.addr == pending.dest) {
-    if (pending.same_dest_retries >= cfg_.max_same_dest_retransmits) {
+    if (pending.same_dest_retries >= kMaxSameDestRetransmits) {
       ++counters_.lookups_dropped_no_route;
       trace_path(obs::EventKind::kDrop, pending.msg->trace_id, pending.dest,
                  pending.msg->hops);
       return;
     }
     const std::uint64_t seq = next_hop_seq_++;
-    pending.msg = [&]() -> IntrusivePtr<RoutedMessage> {
-      if (pending.msg->type == MsgType::kLookup) {
-        return make_msg<LookupMsg>(
-            env_.pool(), static_cast<const LookupMsg&>(*pending.msg));
-      }
-      return make_msg<JoinRequestMsg>(
-          env_.pool(), static_cast<const JoinRequestMsg&>(*pending.msg));
-    }();
+    pending.msg = clone_routed(*pending.msg);
     pending.msg->hop_seq = seq;
     pending.same_dest_retries += 1;
     pending.sent_at = env_.now();
@@ -779,7 +766,7 @@ void PastryNode::on_ack_timeout(std::uint64_t hop_seq) {
                pending.dest, pending.msg->hops, seq);
     const SimDuration backoff = std::min<SimDuration>(
         rto_for(pending.dest) << std::min(pending.same_dest_retries, 8),
-        cfg_.rto_max);
+        kRtoMax);
     pending.timer =
         env_.schedule(backoff, [this, seq] { on_ack_timeout(seq); });
     send(pending.dest, pending.msg);

@@ -64,15 +64,15 @@ void PastryNode::handle_nn_reply(const NnReplyMsg& m) {
     }
     candidates.push_back(d);
   }
-  if (candidates.size() > static_cast<std::size_t>(cfg_.nn_sample)) {
+  if (candidates.size() > static_cast<std::size_t>(kNnSample)) {
     // Uniform sample without replacement.
-    for (std::size_t i = 0; i < static_cast<std::size_t>(cfg_.nn_sample);
+    for (std::size_t i = 0; i < static_cast<std::size_t>(kNnSample);
          ++i) {
       const std::size_t j =
           i + env_.rng().uniform_index(candidates.size() - i);
       std::swap(candidates[i], candidates[j]);
     }
-    candidates.resize(static_cast<std::size_t>(cfg_.nn_sample));
+    candidates.resize(static_cast<std::size_t>(kNnSample));
   }
   if (candidates.empty()) {
     send_join_request();
@@ -97,7 +97,7 @@ void PastryNode::nn_measurement_done() {
     nn_current_ = nn_best_;
     nn_current_rtt_ = nn_best_rtt_;
     nn_iteration_ += 1;
-    if (nn_iteration_ >= cfg_.nn_max_iterations) {
+    if (nn_iteration_ >= kNnMaxIterations) {
       send_join_request();
       return;
     }

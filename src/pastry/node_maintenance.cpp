@@ -35,7 +35,7 @@ void PastryNode::retune() {
   const auto mid = est.begin() + static_cast<std::ptrdiff_t>(est.size() / 2);
   std::nth_element(est.begin(), mid, est.end());
   trt_current_s_ = std::clamp(*mid, to_seconds(cfg_.t_rt_min),
-                              to_seconds(cfg_.t_rt_max));
+                              to_seconds(kTrtMax));
 }
 
 void PastryNode::rt_scan_tick() {
@@ -98,7 +98,7 @@ void PastryNode::on_rt_probe_timeout(net::Address j) {
   if (it == rt_probing_.end()) return;
   RtProbeState& st = it->second;
   st.timer = kInvalidTimer;
-  if (st.retries < cfg_.max_probe_retries) {
+  if (st.retries < kMaxProbeRetries) {
     st.retries += 1;
     ++counters_.rt_probes_sent;
     send(j, make_msg<RtProbeMsg>(env_.pool(), false));
@@ -124,7 +124,7 @@ std::uint64_t PastryNode::start_distance_session(const NodeDescriptor& target,
   if (purpose == ProbePurpose::kRtCandidate) {
     const PeerState* p = peers_.find(target.addr);
     if (p != nullptr && p->has(PeerState::kMeasured) &&
-        env_.now() - p->measured_at < cfg_.distance_measurement_ttl) {
+        env_.now() - p->measured_at < kDistanceMeasurementTtl) {
       return 0;  // measured recently; gossip will re-offer it later anyway
     }
   }
@@ -159,7 +159,7 @@ void PastryNode::distance_session_step(std::uint64_t session_id) {
         s.purpose == ProbePurpose::kNearestNeighbour ? cfg_.nn_probe_timeout
                                                      : cfg_.t_o;
     const SimDuration next_in =
-        s.sent < s.want ? cfg_.distance_probe_spacing : final_wait;
+        s.sent < s.want ? kDistanceProbeSpacing : final_wait;
     s.timer = env_.schedule(next_in,
                             [this, session_id] {
                               distance_session_step(session_id);
@@ -282,7 +282,7 @@ void PastryNode::announce_rows() {
   rt_.for_each([&](int, int, const RoutingTable::Entry& e) {
     if (e.rtt == kTimeNever) {
       start_distance_session(e.node, ProbePurpose::kRtCandidate,
-                             cfg_.distance_probe_count);
+                             kDistanceProbeCount);
     }
   });
 }

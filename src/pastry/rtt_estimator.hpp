@@ -41,9 +41,9 @@ class RttEstimator {
     if (!seeded_) return cfg.rto_initial;
     const auto raw =
         (srtt8_ >> 3) + static_cast<SimDuration>(
-                            cfg.rto_var_factor *
+                            kRtoVarFactor *
                             (static_cast<double>(rttvar4_) / 4.0));
-    return std::clamp(raw, cfg.rto_min, cfg.rto_max);
+    return std::clamp(raw, kRtoMin, kRtoMax);
   }
 
  private:

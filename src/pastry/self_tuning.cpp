@@ -45,7 +45,7 @@ double expected_hops(double n, int b) {
 
 double tune_trt(const Config& cfg, double mu, double n) {
   const double t_min = to_seconds(cfg.t_rt_min);
-  const double t_max = to_seconds(cfg.t_rt_max);
+  const double t_max = to_seconds(kTrtMax);
   if (mu <= 0.0) return t_max;  // nothing ever fails: probe rarely
 
   const double detect = to_seconds(cfg.probe_detect_time());

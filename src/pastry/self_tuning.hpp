@@ -61,9 +61,9 @@ double p_fault(double T_seconds, double mu);
 /// Expected overlay route hops for an overlay of size N with parameter b.
 double expected_hops(double n, int b);
 
-/// Solve for Trt (seconds). Returns a value clamped to [t_rt_min,
-/// t_rt_max] from cfg. `mu` is failures/node/second, `n` the estimated
-/// overlay size.
+/// Solve for Trt (seconds). Returns a value clamped to [cfg.t_rt_min,
+/// kTrtMax]. `mu` is failures/node/second, `n` the estimated overlay
+/// size.
 double tune_trt(const Config& cfg, double mu, double n);
 
 }  // namespace selftune

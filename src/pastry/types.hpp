@@ -72,6 +72,43 @@ struct Counters {
   std::uint64_t redundant_lookup_copies = 0;   ///< extra copies routed
   std::uint64_t leaf_candidates_rejected = 0;  ///< density check vetoes
   std::uint64_t failure_claims_distrusted = 0; ///< skeptical-mode deferrals
+
+  /// Field-wise sum (merging per-shard totals). Every field needs a line
+  /// here; the static_assert below fails when a field is added without.
+  Counters& operator+=(const Counters& o) {
+    heartbeats_sent += o.heartbeats_sent;
+    heartbeats_suppressed += o.heartbeats_suppressed;
+    rt_probes_sent += o.rt_probes_sent;
+    rt_probes_suppressed += o.rt_probes_suppressed;
+    rt_probes_periodic += o.rt_probes_periodic;
+    ls_probes_sent += o.ls_probes_sent;
+    ls_probes_join += o.ls_probes_join;
+    ls_probes_candidate += o.ls_probes_candidate;
+    ls_probes_candidate_active += o.ls_probes_candidate_active;
+    ls_probes_confirm += o.ls_probes_confirm;
+    ls_probes_announce += o.ls_probes_announce;
+    ls_probes_repair += o.ls_probes_repair;
+    ls_probes_suspect += o.ls_probes_suspect;
+    distance_probes_sent += o.distance_probes_sent;
+    acks_sent += o.acks_sent;
+    ack_timeouts += o.ack_timeouts;
+    nodes_marked_faulty += o.nodes_marked_faulty;
+    false_positives += o.false_positives;
+    lookups_forwarded += o.lookups_forwarded;
+    lookups_dropped_no_route += o.lookups_dropped_no_route;
+    joins_started += o.joins_started;
+    joins_completed += o.joins_completed;
+    lookups_dropped_adversarial += o.lookups_dropped_adversarial;
+    lookups_misrouted_adversarial += o.lookups_misrouted_adversarial;
+    ls_replies_corrupted += o.ls_replies_corrupted;
+    nn_replies_corrupted += o.nn_replies_corrupted;
+    redundant_lookup_copies += o.redundant_lookup_copies;
+    leaf_candidates_rejected += o.leaf_candidates_rejected;
+    failure_claims_distrusted += o.failure_claims_distrusted;
+    return *this;
+  }
 };
+static_assert(sizeof(Counters) == 29 * sizeof(std::uint64_t),
+              "a Counters field was added or removed: update operator+=");
 
 }  // namespace mspastry::pastry

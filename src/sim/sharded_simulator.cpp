@@ -214,7 +214,6 @@ ShardedSimulator::ShardedSimulator(std::size_t shards, SimDuration lookahead)
   for (std::size_t i = 0; i < effective; ++i) {
     sims_.push_back(std::make_unique<Simulator>());
   }
-  outboxes_.resize(effective * effective);
 }
 
 ShardedSimulator::~ShardedSimulator() = default;
@@ -230,14 +229,6 @@ std::uint64_t ShardedSimulator::executed_events() const {
   return total;
 }
 
-void ShardedSimulator::post(std::size_t src, std::size_t dst, SimTime t,
-                            Simulator::Callback fn) {
-  assert(src < sims_.size() && dst < sims_.size());
-  assert(t >= epoch_end_ &&
-         "cross-shard event inside the current epoch violates lookahead");
-  outboxes_[src * sims_.size() + dst].push_back(Posted{t, std::move(fn)});
-}
-
 SimTime ShardedSimulator::global_min() {
   SimTime m = kTimeNever;
   for (auto& s : sims_) {
@@ -245,19 +236,6 @@ SimTime ShardedSimulator::global_min() {
     if (t < m) m = t;
   }
   return m;
-}
-
-void ShardedSimulator::drain_outboxes() {
-  const std::size_t n = sims_.size();
-  for (std::size_t src = 0; src < n; ++src) {
-    for (std::size_t dst = 0; dst < n; ++dst) {
-      auto& row = outboxes_[src * n + dst];
-      for (Posted& p : row) {
-        sims_[dst]->schedule_at(p.t, std::move(p.fn));
-      }
-      row.clear();
-    }
-  }
 }
 
 void ShardedSimulator::parallel_run_until(SimTime bound) {
@@ -281,7 +259,6 @@ void ShardedSimulator::run_until(SimTime until, const BarrierFn& at_barrier) {
     if (lookahead_ < e - next_min) e = next_min + lookahead_;
     epoch_end_ = e;
     parallel_run_until(e - 1);
-    drain_outboxes();
     if (at_barrier) at_barrier(e);
     ++epochs_;
   }

@@ -27,18 +27,20 @@ namespace mspastry {
 ///      until + 1);
 ///   2. (parallel) every shard runs `run_until(E - 1)` on its own thread —
 ///      all events with t < E, in exact local (t, seq) order;
-///   3. (single-threaded, all shards quiescent) drains cross-shard
-///      outboxes posted during the parallel phase (each scheduled event
-///      has t >= E by the lookahead contract) and calls the caller's
-///      barrier hook with E.
+///   3. (single-threaded, all shards quiescent) calls the caller's
+///      barrier hook with E. The caller hands its cross-shard work over
+///      here: during phase 2 each shard buffers what it sends elsewhere,
+///      and the hook schedules it onto the destination shards (each
+///      event has t >= E by the lookahead contract), as
+///      ShardedDriver::apply_barrier does with its per-(src, dst) rows.
 ///
 /// Because workers only touch their own shard during phase 2 and all
 /// cross-shard hand-off happens in the quiescent phase 3, the only
 /// synchronisation is two crossings of one spin-then-park barrier per
 /// epoch (an arrival counter and a generation word; see Pool in the .cpp)
-/// — no locks, and the event loop itself touches no atomics. Outbox rows
-/// are per (src, dst) and written only by src's worker, so they are
-/// single-producer by construction.
+/// — no locks, and the event loop itself touches no atomics. A caller
+/// whose buffers are written only by the sending shard's worker needs no
+/// locks either.
 ///
 /// Determinism contract: epoch boundaries depend only on the global
 /// minimum pending time and L, both of which are independent of the shard
@@ -48,13 +50,13 @@ namespace mspastry {
 /// runs the same epoch loop inline with no threads.
 class ShardedSimulator {
  public:
-  /// Called at the end of every epoch (all shards quiescent, engine
-  /// outboxes already drained) with the epoch end E: every event with
-  /// t < E has executed on every shard; nothing at t >= E has.
+  /// Called at the end of every epoch (all shards quiescent) with the
+  /// epoch end E: every event with t < E has executed on every shard;
+  /// nothing at t >= E has. Cross-shard work is scheduled from here.
   using BarrierFn = std::function<void(SimTime epoch_end)>;
 
   /// `lookahead` is the minimum cross-shard latency in simulated time: an
-  /// event executing at time t may post() work onto another shard no
+  /// event executing at time t may cause work on another shard no
   /// earlier than t + lookahead. A lookahead < 1 cannot order anything
   /// (same-time cross-shard events would be unordered), so the engine
   /// falls back to a single shard and uses kFallbackEpoch to chunk time.
@@ -107,8 +109,8 @@ class ShardedSimulator {
     /// shard released into the next epoch (wake-up latency).
     std::vector<std::uint64_t> wait_ns;
     /// Nanoseconds from the last shard finishing one epoch to the first
-    /// shard starting the next: the single-threaded phase (outbox drain,
-    /// barrier hook, next minimum) plus the barrier hand-off.
+    /// shard starting the next: the single-threaded phase (barrier hook,
+    /// next minimum) plus the barrier hand-off.
     std::uint64_t serial_ns = 0;
     /// events_per_epoch_log2[b] counts epochs whose executed-event count
     /// n has std::bit_width(n) == b: b = 0 is an empty epoch, b = 1 one
@@ -118,19 +120,9 @@ class ShardedSimulator {
   const EpochTelemetry& epoch_telemetry() const { return telemetry_; }
 
   /// End of the epoch currently executing (valid during the parallel
-  /// phase and the barrier hook): every posted event must satisfy
-  /// t >= epoch_end().
+  /// phase and the barrier hook): every event handed to another shard
+  /// must satisfy t >= epoch_end().
   SimTime epoch_end() const { return epoch_end_; }
-
-  /// Post a callback onto shard `dst` at absolute time `t`, from code
-  /// running on shard `src` during the parallel phase. Buffered in a
-  /// per-(src, dst) row and scheduled on dst at the next barrier. The
-  /// lookahead contract requires t >= epoch_end(); asserted.
-  ///
-  /// Same-shard posts are legal and also deferred to the barrier (the
-  /// caller should normally just schedule_at directly for those).
-  void post(std::size_t src, std::size_t dst, SimTime t,
-            Simulator::Callback fn);
 
   /// Run all shards up to and including `until` (same contract as
   /// Simulator::run_until: events at exactly `until` execute; every
@@ -138,16 +130,8 @@ class ShardedSimulator {
   void run_until(SimTime until, const BarrierFn& at_barrier = {});
 
  private:
-  struct Posted {
-    SimTime t;
-    Simulator::Callback fn;
-  };
-
   /// Earliest pending event across all shards (single-threaded).
   SimTime global_min();
-  /// Schedule everything in the outboxes onto the destination shards, in
-  /// (src, dst) row order (single-threaded, deterministic).
-  void drain_outboxes();
   /// One epoch's parallel phase: every shard runs run_until(bound).
   /// Dispatches to the worker pool (or runs inline when S == 1).
   void parallel_run_until(SimTime bound);
@@ -155,10 +139,6 @@ class ShardedSimulator {
   std::size_t requested_shards_;
   SimDuration lookahead_;
   std::vector<std::unique_ptr<Simulator>> sims_;
-
-  /// outboxes_[src * S + dst]: written only by shard src's worker during
-  /// the parallel phase, drained single-threaded at the barrier.
-  std::vector<std::vector<Posted>> outboxes_;
 
   SimTime epoch_end_ = kTimeZero;
   std::uint64_t epochs_ = 0;

@@ -70,10 +70,10 @@ TEST(NodeGossip, RowAnnouncementTriggersDistanceSession) {
   const auto peer = rt_peer(7, 5);
   announce_row(h, nd(900, 9), {peer});
   EXPECT_EQ(h.env.count_outgoing(MsgType::kDistanceProbe), 1);
-  // The session sends Config::distance_probe_count probes, spaced apart.
+  // The session sends pastry::kDistanceProbeCount probes, spaced apart.
   h.env.run_for(seconds(3));
   EXPECT_EQ(h.env.count_outgoing(MsgType::kDistanceProbe),
-            Config{}.distance_probe_count);
+            pastry::kDistanceProbeCount);
 }
 
 TEST(NodeGossip, MeasuredCandidateIsAdoptedWithMedianRtt) {
@@ -84,7 +84,7 @@ TEST(NodeGossip, MeasuredCandidateIsAdoptedWithMedianRtt) {
   announce_row(h, nd(900, 9), {peer});
   const int answered =
       answer_distance_probes(h, peer, milliseconds(20), seconds(8));
-  EXPECT_EQ(answered, Config{}.distance_probe_count);
+  EXPECT_EQ(answered, pastry::kDistanceProbeCount);
   ASSERT_TRUE(h.node->routing_table().contains(5));
   const auto* e = h.node->routing_table().find(5);
   EXPECT_NEAR(to_seconds(e->rtt), 0.020, 0.015);

@@ -132,10 +132,10 @@ TEST(NodeProtocol, UnconfirmedFailureIsMarkedFaultyAfterRetries) {
   h.receive_ls_probe(nd(1020, 2));
   h.env.drain();
   h.receive_ls_probe(nd(1010, 1), {}, {nd(1020, 2)});
-  // Confirm probe + max_probe_retries retries, spaced To apart, then the
+  // Confirm probe + kMaxProbeRetries retries, spaced To apart, then the
   // node is marked faulty.
   const Config cfg;
-  h.env.run_for((cfg.max_probe_retries + 1) * cfg.t_o + seconds(1));
+  h.env.run_for((pastry::kMaxProbeRetries + 1) * cfg.t_o + seconds(1));
   EXPECT_EQ(h.env.marked_faulty(), std::vector<net::Address>{2});
   EXPECT_EQ(h.node->debug_state().failed_set_size, 1u);
   // All three transmissions happened.
@@ -143,7 +143,7 @@ TEST(NodeProtocol, UnconfirmedFailureIsMarkedFaultyAfterRetries) {
   for (const auto& s : h.env.drain()) {
     if (s.to == 2 && s.msg->type == MsgType::kLsProbe) ++probes_to_2;
   }
-  EXPECT_EQ(probes_to_2, 1 + cfg.max_probe_retries);
+  EXPECT_EQ(probes_to_2, 1 + pastry::kMaxProbeRetries);
 }
 
 TEST(NodeProtocol, FailedNodesAreNotProbedAgain) {
@@ -152,7 +152,7 @@ TEST(NodeProtocol, FailedNodesAreNotProbedAgain) {
   h.receive_ls_probe(nd(1020, 2));
   h.receive_ls_probe(nd(1010, 1), {}, {nd(1020, 2)});
   const Config cfg;
-  h.env.run_for((cfg.max_probe_retries + 1) * cfg.t_o + seconds(1));
+  h.env.run_for((pastry::kMaxProbeRetries + 1) * cfg.t_o + seconds(1));
   h.env.drain();
   // Another announcement of the same failure: already in failed set, no
   // further probes to 2.
@@ -214,7 +214,7 @@ TEST(NodeProtocol, SilentRightNeighbourGetsSuspected) {
   // it is eventually marked faulty.
   h.env.run_for(cfg.t_ls + cfg.t_o + cfg.t_ls + seconds(1));
   EXPECT_GT(h.counters.ls_probes_suspect, 0u);
-  h.env.run_for((cfg.max_probe_retries + 1) * cfg.t_o + seconds(1));
+  h.env.run_for((pastry::kMaxProbeRetries + 1) * cfg.t_o + seconds(1));
   EXPECT_FALSE(h.node->leaf_set().contains(1));
 }
 
@@ -441,7 +441,7 @@ TEST(NodeProtocol, ExclusionCountMatchesPeerTableScan) {
   run_until_excluded(h, 1);
   ack_lookups(h, {nd(3000, 2), nd(980, 4)});
   check(1);
-  h.env.run_for((cfg.max_probe_retries + 1) * cfg.t_o + seconds(1));
+  h.env.run_for((pastry::kMaxProbeRetries + 1) * cfg.t_o + seconds(1));
   const auto& faulty = h.env.marked_faulty();
   ASSERT_NE(std::find(faulty.begin(), faulty.end(), 1), faulty.end());
   check(0);
@@ -494,7 +494,7 @@ TEST(NodeProtocol, MarkFaultyForgetsPeerState) {
   EXPECT_EQ(h.node->debug_state().excluded_size, 1u);
   const std::size_t entries = h.node->debug_state().peer_entries;
   // The suspicion probes go unanswered: node 2 is condemned.
-  h.env.run_for((cfg.max_probe_retries + 1) * cfg.t_o + seconds(1));
+  h.env.run_for((pastry::kMaxProbeRetries + 1) * cfg.t_o + seconds(1));
   ASSERT_EQ(h.env.marked_faulty(), std::vector<net::Address>{2});
   EXPECT_FALSE(h.node->currently_excludes(2));
   EXPECT_EQ(h.node->debug_state().excluded_size, 0u);
@@ -703,7 +703,7 @@ TEST(NodeProtocol, MedianOfGossipedTrtHints) {
     h.node->handle(i + 1, m);
   }
   h.env.run_for(minutes(2));  // let a scan tick retune
-  // Own estimate is t_rt_max-ish (no observed failures) so the median of
+  // Own estimate is kTrtMax-ish (no observed failures) so the median of
   // {own, 100, 200, 900} is one of the middle values.
   EXPECT_GE(h.node->current_trt_seconds(), 200.0);
 }

@@ -51,21 +51,21 @@ TEST(RttEstimator, ConvergesToStableRtt) {
               static_cast<double>(milliseconds(50)), 1000.0);
   // Variance decays toward zero; RTO approaches srtt and hits the floor.
   EXPECT_LE(e.rto(cfg()), milliseconds(60));
-  EXPECT_GE(e.rto(cfg()), cfg().rto_min);
+  EXPECT_GE(e.rto(cfg()), kRtoMin);
 }
 
 TEST(RttEstimator, RtoFloorIsAggressiveNotTcp) {
   // The floor is 30 ms (not TCP's 1 s): rapid failover to alternatives.
   RttEstimator e;
   for (int i = 0; i < 200; ++i) e.sample(milliseconds(2));
-  EXPECT_EQ(e.rto(cfg()), cfg().rto_min);
-  EXPECT_LT(cfg().rto_min, seconds(1));
+  EXPECT_EQ(e.rto(cfg()), kRtoMin);
+  EXPECT_LT(kRtoMin, seconds(1));
 }
 
 TEST(RttEstimator, RtoCappedAtMax) {
   RttEstimator e;
   e.sample(seconds(10));
-  EXPECT_EQ(e.rto(cfg()), cfg().rto_max);
+  EXPECT_EQ(e.rto(cfg()), kRtoMax);
 }
 
 TEST(RttEstimator, VarianceTracksJitter) {
@@ -121,9 +121,9 @@ TEST(RttEstimator, TracksReferenceUnderRandomJitter) {
     ASSERT_NEAR(static_cast<double>(e.srtt()), ref.srtt, 16.0)
         << "diverged at sample " << i;
     const double ref_rto =
-        std::clamp(ref.srtt + c.rto_var_factor * ref.rttvar,
-                   static_cast<double>(c.rto_min),
-                   static_cast<double>(c.rto_max));
+        std::clamp(ref.srtt + kRtoVarFactor * ref.rttvar,
+                   static_cast<double>(kRtoMin),
+                   static_cast<double>(kRtoMax));
     ASSERT_NEAR(static_cast<double>(e.rto(c)), ref_rto, 64.0)
         << "RTO diverged at sample " << i;
   }

@@ -83,7 +83,7 @@ Config base_config() {
 TEST(TuneTrt, NoFailuresMeansMaxPeriod) {
   const Config cfg = base_config();
   EXPECT_DOUBLE_EQ(selftune::tune_trt(cfg, 0.0, 10000.0),
-                   to_seconds(cfg.t_rt_max));
+                   to_seconds(kTrtMax));
 }
 
 TEST(TuneTrt, HigherFailureRateProbesFaster) {
@@ -110,7 +110,7 @@ TEST(TuneTrt, ClampedToBounds) {
                    to_seconds(cfg.t_rt_min));
   // Minuscule failure rate: cap at the ceiling.
   EXPECT_DOUBLE_EQ(selftune::tune_trt(cfg, 1e-12, 10000.0),
-                   to_seconds(cfg.t_rt_max));
+                   to_seconds(kTrtMax));
 }
 
 TEST(TuneTrt, SolutionAchievesTargetRawLoss) {
@@ -121,7 +121,7 @@ TEST(TuneTrt, SolutionAchievesTargetRawLoss) {
   const double n = 10000.0;
   const double trt = selftune::tune_trt(cfg, mu, n);
   ASSERT_GT(trt, to_seconds(cfg.t_rt_min));
-  ASSERT_LT(trt, to_seconds(cfg.t_rt_max));
+  ASSERT_LT(trt, to_seconds(kTrtMax));
   const double detect = to_seconds(cfg.probe_detect_time());
   const double h = selftune::expected_hops(n, cfg.b);
   const double lr =
@@ -134,7 +134,7 @@ TEST(TuneTrt, PropertySweepMonotoneAndBounded) {
   // Randomized audit of the bisection boundaries: across random overlay
   // sizes and loss targets the returned Trt must be (a) monotone
   // non-increasing in mu, (b) monotone non-decreasing in target_raw_loss,
-  // and (c) always inside [t_rt_min, t_rt_max].
+  // and (c) always inside [t_rt_min, kTrtMax].
   std::mt19937_64 prng(0xc0ffee);
   std::uniform_real_distribution<double> pick_n(10.0, 200000.0);
   std::uniform_real_distribution<double> pick_loss(0.002, 0.2);
@@ -145,7 +145,7 @@ TEST(TuneTrt, PropertySweepMonotoneAndBounded) {
     cfg.target_raw_loss = pick_loss(prng);
     const double n = pick_n(prng);
     const double t_min = to_seconds(cfg.t_rt_min);
-    const double t_max = to_seconds(cfg.t_rt_max);
+    const double t_max = to_seconds(kTrtMax);
 
     // (a) + (c): increasing mu grid, Trt must not increase.
     double prev = t_max + 1.0;
@@ -227,7 +227,7 @@ TEST(FailureRateEstimator, PartialHistoryCountsNowAsFailure) {
 TEST(FailureRateEstimator, CorrelatedBurstBiasesRateUp) {
   // Regression: a correlated burst that lands every recorded failure in
   // the same event-loop tick used to collapse the span to zero and return
-  // mu = 0 — driving tune_trt to t_rt_max exactly when probing should be
+  // mu = 0 — driving tune_trt to kTrtMax exactly when probing should be
   // fastest. The span is now clamped to the clock resolution, so a burst
   // produces a very large (upward-biased) estimate instead.
   const int k = 4;

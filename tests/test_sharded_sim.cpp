@@ -22,6 +22,42 @@ std::uint64_t mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
+/// Cross-shard hand-off as ShardedDriver does it: per-(src, dst) rows,
+/// each written only by the src shard's worker during the parallel phase,
+/// scheduled onto dst in row order by the barrier hook.
+class Outbox {
+ public:
+  explicit Outbox(ShardedSimulator& eng)
+      : eng_(eng), rows_(eng.shards() * eng.shards()) {}
+
+  void post(std::size_t src, std::size_t dst, SimTime t,
+            Simulator::Callback fn) {
+    EXPECT_GE(t, eng_.epoch_end()) << "cross-shard event inside the epoch";
+    rows_[src * eng_.shards() + dst].push_back(Posted{t, std::move(fn)});
+  }
+
+  /// The run_until barrier hook.
+  ShardedSimulator::BarrierFn hook() {
+    return [this](SimTime) {
+      const std::size_t n = eng_.shards();
+      for (std::size_t i = 0; i < rows_.size(); ++i) {
+        for (Posted& p : rows_[i]) {
+          eng_.shard(i % n).schedule_at(p.t, std::move(p.fn));
+        }
+        rows_[i].clear();
+      }
+    };
+  }
+
+ private:
+  struct Posted {
+    SimTime t;
+    Simulator::Callback fn;
+  };
+  ShardedSimulator& eng_;
+  std::vector<std::vector<Posted>> rows_;
+};
+
 constexpr int kActors = 12;
 constexpr SimDuration kL = 64;  // engine lookahead under test
 constexpr SimTime kHorizon = 400'000'000;
@@ -124,6 +160,7 @@ std::uint64_t run_sharded(std::size_t shards,
                           std::uint64_t* events_out = nullptr,
                           std::uint64_t* epochs_out = nullptr) {
   ShardedSimulator eng(shards, kL);
+  Outbox out(eng);
   World w;
   const auto shard_of = [&eng](int a) {
     return static_cast<std::size_t>(a) % eng.shards();
@@ -135,12 +172,12 @@ std::uint64_t run_sharded(std::size_t shards,
       eng.shard(dst).schedule_at(
           at, [&w, to, at, v, ttl] { w.receive(to, at, v, ttl); });
     } else {
-      eng.post(src, dst, at,
+      out.post(src, dst, at,
                [&w, to, at, v, ttl] { w.receive(to, at, v, ttl); });
     }
   };
   w.seed();
-  eng.run_until(kHorizon);
+  eng.run_until(kHorizon, out.hook());
   if (events_out != nullptr) *events_out = eng.executed_events();
   if (epochs_out != nullptr) *epochs_out = eng.epochs();
   return w.combined();
@@ -183,15 +220,16 @@ TEST(ShardedSim, DeliveryExactlyAtEpochBoundaryExecutesOnce) {
   // with t == epoch_end run in the *next* epoch.
   ShardedSimulator eng(2, 100);
   ASSERT_EQ(eng.shards(), 2u);
+  Outbox out(eng);
   int fired = 0;
   SimTime fired_at = -1;
   eng.shard(0).schedule_at(0, [&] {
-    eng.post(0, 1, eng.shard(0).now() + 100, [&] {
+    out.post(0, 1, eng.shard(0).now() + 100, [&] {
       ++fired;
       fired_at = eng.shard(1).now();
     });
   });
-  eng.run_until(1000);
+  eng.run_until(1000, out.hook());
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(fired_at, 100);
   EXPECT_GE(eng.epochs(), 2u);
@@ -204,6 +242,7 @@ TEST(ShardedSim, CancellationRacingABarrierIsDeterministic) {
   // delivery must still fire. Run at 1 and 2 shards and compare.
   const auto run = [](std::size_t shards) {
     ShardedSimulator eng(shards, 100);
+    Outbox out(eng);
     std::uint64_t digest = 0;
     TimerId timer = kInvalidTimer;
     eng.shard(0).schedule_at(0, [&] {
@@ -216,10 +255,10 @@ TEST(ShardedSim, CancellationRacingABarrierIsDeterministic) {
       if (src == 0) {
         eng.shard(0).schedule_at(at, [&] { digest |= 2; });
       } else {
-        eng.post(1, 0, at, [&] { digest |= 2; });
+        out.post(1, 0, at, [&] { digest |= 2; });
       }
     });
-    eng.run_until(1000);
+    eng.run_until(1000, out.hook());
     return digest;
   };
   EXPECT_EQ(run(1), 2u);
@@ -231,10 +270,11 @@ TEST(ShardedSim, PostBeforeRunAndIdleShardsAreHarmless) {
   // the first epoch (epoch_end == 0) is allowed.
   ShardedSimulator eng(4, 50);
   ASSERT_EQ(eng.shards(), 4u);
+  Outbox out(eng);
   int fired = 0;
-  eng.post(0, 3, 75, [&fired] { ++fired; });
+  out.post(0, 3, 75, [&fired] { ++fired; });
   eng.shard(0).schedule_at(10, [] {});
-  eng.run_until(10'000);
+  eng.run_until(10'000, out.hook());
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(eng.executed_events(), 2u);
 }
@@ -299,6 +339,7 @@ RingRun ring_raw(std::size_t shards, SimTime horizon) {
 }
 
 RingRun ring_sharded(ShardedSimulator& eng, SimTime horizon) {
+  Outbox out(eng);
   Ring ring;
   RingRun r;
   // One counter per source shard: only that shard's worker writes it.
@@ -314,11 +355,11 @@ RingRun ring_sharded(ShardedSimulator& eng, SimTime horizon) {
       eng.shard(dst).schedule_at(at, std::move(fn));
     } else {
       ++posts[src];
-      eng.post(src, dst, at, std::move(fn));
+      out.post(src, dst, at, std::move(fn));
     }
   };
   ring.seed();
-  eng.run_until(horizon);
+  eng.run_until(horizon, out.hook());
   r.cross_posts = std::accumulate(posts.begin(), posts.end(), std::uint64_t{0});
   r.events = eng.executed_events();
   r.digest = ring.digest();

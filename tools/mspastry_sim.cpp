@@ -298,7 +298,7 @@ int finish_tracing(const Options& o, const obs::TraceDomain& domain,
     ecfg.overlay_size = overlay_size;
     ecfg.t_ls = dcfg.pastry.t_ls;
     ecfg.t_o = dcfg.pastry.t_o;
-    ecfg.failed_entry_ttl = dcfg.pastry.failed_entry_ttl;
+    ecfg.failed_entry_ttl = pastry::kFailedEntryTtl;
     const auto report = obs::check_expectations(domain, paths, ecfg);
     std::printf("%s", report.summary().c_str());
     if (!report.ok()) rc = 1;
