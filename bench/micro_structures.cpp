@@ -187,7 +187,8 @@ BENCHMARK(BM_DelayOracleLandmarkQuery);
 //
 // A shared_ptr mirror of HeartbeatMsg/LsProbeMsg, local to the bench, so
 // the comparison stays honest after the production types moved to the
-// pool. perf_core measures the full replay; these isolate allocation.
+// pool. These isolate allocation; MessagePoolDifferential checks the
+// full replay.
 
 struct SharedMsgBase {
   virtual ~SharedMsgBase() = default;

@@ -134,7 +134,7 @@ int main(int argc, char** argv) {
   const unsigned cores = host.cores;
   emit_host(out, host);
 
-  // The same fig4-mix workload perf_core replays, sized so the smoke run
+  // The Figure-4 Gnutella churn workload, sized so the smoke run
   // finishes in CI seconds while still crossing thousands of epochs.
   const double ts = smoke ? 0.02 : (full_scale() ? 1.0 : 0.05);
   const double ns = smoke ? 0.1 : node_scale();

@@ -10,9 +10,10 @@
 // the largest timer lambda in src/pastry / src/overlay instead.
 //
 // Callables larger than the inline capacity (or over-aligned ones) fall
-// back to the heap. That is allowed but *counted* — perf_core records
-// callback_heap_fallbacks() in BENCH_core.json so a capture that quietly
-// outgrows the buffer shows up as a perf regression, not a mystery.
+// back to the heap. That is allowed but *counted* — a tier-1 test
+// (ChaosHarness.TimerCallbacksNeverFallBackToTheHeap) fails if a keyed
+// run moves callback_heap_fallbacks(), so a capture that quietly
+// outgrows the buffer shows up as a test failure, not a mystery.
 
 #include <atomic>
 #include <cassert>

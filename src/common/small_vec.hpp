@@ -7,10 +7,11 @@
 // makes per-hop clones a flat copy with no allocator round trips.
 //
 // Elements beyond the inline capacity spill to the heap. That is allowed
-// but *counted* (the inplace_callback heap-fallback idiom): perf_core
-// records small_vec_spills() so a payload that quietly outgrows its
-// capacity shows up as a perf regression, not a mystery. The counter is a
-// relaxed atomic because sweep-runner trials run on worker threads.
+// but *counted* (the inplace_callback heap-fallback idiom):
+// MessagePoolDifferential asserts small_vec_spills() stays flat on a warm
+// pool, so a payload type that outgrows its capacity there fails a test.
+// The counter is a relaxed atomic because sweep-runner trials run on
+// worker threads.
 
 #include <atomic>
 #include <cassert>

@@ -740,8 +740,7 @@ std::uint64_t ShardedDriver::node_lookup(ShardEnv& env, NodeId key,
   e.a = env.self().addr;
   e.u = id;
   env.log(std::move(e));
-  nodes_[env.uid()].node->lookup(key, id, payload, cfg_.lookups_want_ack,
-                                 std::move(app_data));
+  nodes_[env.uid()].node->lookup(key, id, payload, std::move(app_data));
   return id;
 }
 

@@ -30,7 +30,6 @@ struct DriverConfig {
   /// (Poisson), destination keys uniform over the id space. The paper's
   /// base configuration uses 0.01 lookups/s/node.
   double lookup_rate_per_node = 0.01;
-  bool lookups_want_ack = true;
 
   /// Metrics windows (10 min for Gnutella/OverNet in the paper, 1 h for
   /// Microsoft) and warmup excluded from aggregates.

@@ -7,8 +7,8 @@
 // hook) is a destructor call + free-list push. After warmup the working
 // set of in-flight messages stabilises, so steady-state traffic allocates
 // zero heap: new slab chunks are *counted* (Stats::chunk_allocs) exactly
-// like callback heap fallbacks, and perf_core asserts the count stays
-// flat during measurement.
+// like callback heap fallbacks, and MessagePoolDifferential asserts the
+// count stays flat when its script is replayed on a warm pool.
 //
 // Recycling is generation-checked, mirroring the timer arena's
 // (gen << 32 | slot) handles: each slot carries a generation bumped on

@@ -57,7 +57,7 @@ class PastryNode {
   /// `key`. `lookup_id`, `payload` and `app_data` are opaque to the
   /// overlay.
   void lookup(NodeId key, std::uint64_t lookup_id, std::uint64_t payload = 0,
-              bool wants_ack = true, net::PacketPtr app_data = nullptr);
+              net::PacketPtr app_data = nullptr);
 
   // --- Introspection (tests, oracle, applications) ----------------------
 

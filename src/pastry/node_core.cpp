@@ -784,14 +784,12 @@ void PastryNode::on_ack_timeout(std::uint64_t hop_seq) {
 // ---------------------------------------------------------------------------
 
 void PastryNode::lookup(NodeId key, std::uint64_t lookup_id,
-                        std::uint64_t payload, bool wants_ack,
-                        net::PacketPtr app_data) {
+                        std::uint64_t payload, net::PacketPtr app_data) {
   auto m = make_msg<LookupMsg>(env_.pool());
   m->key = key;
   m->lookup_id = lookup_id;
   m->payload = payload;
   m->app_data = std::move(app_data);
-  m->wants_ack = wants_ack;
   m->source = self_;
   m->sent_at = env_.now();
   m->trace_id = rec_ != nullptr ? rec_->sample_lookup(lookup_id) : 0;

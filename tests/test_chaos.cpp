@@ -1,6 +1,7 @@
 // The fault-injection engine (rule stack semantics, determinism, per-packet
 // fates, packet accounting) and the chaos harness (scaled-down scenario
-// runs against a live overlay with oracle-checked invariants).
+// runs against a live overlay with oracle-checked invariants, and with
+// every timer callback stored inline).
 
 #include "overlay/chaos.hpp"
 
@@ -11,8 +12,10 @@
 #include <tuple>
 #include <vector>
 
+#include "common/inplace_callback.hpp"
 #include "net/packet_fate.hpp"
 #include "net/transit_stub.hpp"
+#include "trace/churn_generators.hpp"
 
 namespace mspastry {
 namespace {
@@ -520,6 +523,29 @@ TEST(ChaosHarness, EclipseVictimSurvivesSybilCluster) {
   // Density checks fired: sybils packed around the victim id were vetoed.
   EXPECT_GT(r.leaf_rejections, 0u);
   EXPECT_GE(r.reconverge_seconds, 0.0);  // ring healed after the kill
+}
+
+TEST(ChaosHarness, TimerCallbacksNeverFallBackToTheHeap) {
+  // Every callback the keyed engine stores — node timers behind their
+  // liveness guard, deliveries, workload ticks, fault-schedule steps —
+  // must fit Simulator::kCallbackCapacity inline. A capture that outgrows
+  // it still runs, off the heap, and only this counter shows it.
+  const std::uint64_t before = callback_heap_fallbacks();
+  {
+    overlay::DriverConfig cfg;
+    cfg.lookup_rate_per_node = 0.05;
+    cfg.warmup = minutes(2);
+    cfg.seed = 71;
+    overlay::ShardedDriver d(small_topology(), {}, cfg, 1);
+    d.run_trace(trace::generate_poisson(minutes(10), 600.0, 60, 31));
+    ASSERT_GT(d.metrics().lookups_issued(), 0u);
+  }
+  EXPECT_EQ(callback_heap_fallbacks(), before) << "trace run";
+
+  overlay::ChaosHarness h(small_topology(), small_config(27));
+  const auto r = h.run("combined");
+  EXPECT_GT(r.fault_issued, 0u);
+  EXPECT_EQ(callback_heap_fallbacks(), before) << "combined chaos scenario";
 }
 
 TEST(ChaosHarness, RunsAreReproducibleFromTheSeed) {

@@ -181,29 +181,6 @@ TEST(Dependability, NoFalsePositivesWithoutLoss) {
   EXPECT_EQ(d.counters().false_positives, 0u);
 }
 
-TEST(Dependability, LookupsCanOptOutOfAcks) {
-  DriverConfig cfg = base_cfg(52);
-  cfg.lookup_rate_per_node = 0.0;
-  cfg.warmup = 0;  // this test runs only a few simulated minutes
-  cfg.lookups_want_ack = false;
-  ShardedDriver d(topo(), {}, cfg, 1);
-  for (int i = 0; i < 30; ++i) {
-    d.add_node();
-    d.run_for(seconds(2));
-  }
-  d.run_for(minutes(2));
-  const auto acks_before = d.counters().acks_sent;
-  for (int i = 0; i < 50; ++i) {
-    const auto src = d.oracle().random_active(d.rng());
-    d.issue_lookup(src->second, d.rng().node_id());
-    d.run_for(milliseconds(100));
-  }
-  d.run_for(seconds(10));
-  d.finish();
-  EXPECT_EQ(d.counters().acks_sent, acks_before);  // no lookup acks
-  EXPECT_EQ(d.metrics().lookups_delivered_correct(), 50u);
-}
-
 TEST(Dependability, SmallRingJoinersActivateUnderHeavyLoss) {
   // 25 nodes with l = 32: no leaf set ever fills, so a joiner activates
   // once its repair rounds stop turning up members it has not seen. At

@@ -250,7 +250,7 @@ std::vector<Op> make_wide_script(std::uint64_t seed, int n_ops) {
   return script;
 }
 
-// perf_core's micro mix: a deep steady-state queue, microsecond-resolution
+// The overlay's timer mix: a deep steady-state queue, microsecond-resolution
 // short "ack" timers mixed with 30 s "heartbeat" timers, and bursts of 64
 // schedules, 24 cancels of still-cancellable timers and 40 steps.
 std::vector<Op> make_deep_queue_script(std::uint64_t seed, int prefill,

@@ -3,6 +3,7 @@
 // plan's duplication rule, SmallVec payload behaviour, and a randomized
 // differential check that a pooled delivery sequence is content-identical
 // to the same sequence over the pre-PR-3 shared_ptr representation.
+// Replayed on the warm pool, the same sequence allocates no heap.
 
 #include "pastry/message_pool.hpp"
 
@@ -287,13 +288,14 @@ std::uint64_t fold_msg(std::uint64_t h, const Ptr& p) {
   return h;
 }
 
-TEST(MessagePoolDifferential, PooledSequenceMatchesSharedPtrSequence) {
+/// One pass of the differential script over `pool`; every pass replays
+/// the same ops.
+void replay_against_shared_ptr(MessagePool& pool) {
   std::vector<NodeDescriptor> roster;
   for (int i = 0; i < 48; ++i) {
     roster.push_back(desc(0x1000 + i, i * 0x9e3779b9ull, i));
   }
 
-  MessagePool pool;
   std::deque<pastry::MessagePtr> pooled_q;
   std::deque<std::shared_ptr<const legacy::Message>> legacy_q;
   std::uint64_t pooled_h = 0xcbf29ce484222325ull;
@@ -419,7 +421,21 @@ TEST(MessagePoolDifferential, PooledSequenceMatchesSharedPtrSequence) {
   while (!pooled_q.empty()) dispatch_front();
   EXPECT_EQ(pooled_h, legacy_h);
   EXPECT_EQ(pool.live(), 0u);
+}
+
+TEST(MessagePoolDifferential, PooledSequenceMatchesSharedPtrSequence) {
+  MessagePool pool;
+  replay_against_shared_ptr(pool);
   EXPECT_GT(pool.stats().reused, 0u);
+
+  // The first pass grew each slab to the script's peak occupancy, so the
+  // same script again runs on recycled slots alone: steady-state traffic
+  // carves no chunk and spills no payload to the heap.
+  const std::uint64_t chunks = pool.stats().chunk_allocs;
+  const std::uint64_t spills = small_vec_spills();
+  replay_against_shared_ptr(pool);
+  EXPECT_EQ(pool.stats().chunk_allocs, chunks) << "steady state hit the heap";
+  EXPECT_EQ(small_vec_spills(), spills) << "a payload outgrew its capacity";
 }
 
 }  // namespace

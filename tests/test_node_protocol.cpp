@@ -252,17 +252,30 @@ TEST(NodeProtocol, ReceivedLookupIsAcked) {
 }
 
 TEST(NodeProtocol, NoAckWhenLookupOptsOut) {
+  // A peer may send a lookup with wants_ack cleared (the rt wire codec
+  // carries the flag): it is neither acked nor tracked on the next hop.
   NodeHarness h(kSelf);
   h.node->bootstrap();
+  h.receive_ls_probe(nd(2000, 1));
   h.env.drain();
-  auto m = make_refcounted<pastry::LookupMsg>();
-  m->key = NodeId{0, 999};
-  m->lookup_id = 7;
-  m->wants_ack = false;
-  m->source = nd(500, 9);
-  h.receive(nd(500, 9), std::move(m));
-  EXPECT_EQ(h.env.count_outgoing(MsgType::kAck), 0);
+  const auto opted_out = [](std::uint64_t key, std::uint64_t lookup_id) {
+    auto m = make_refcounted<pastry::LookupMsg>();
+    m->key = NodeId{0, key};
+    m->lookup_id = lookup_id;
+    m->wants_ack = false;
+    m->source = nd(500, 9);
+    return m;
+  };
+  h.receive(nd(500, 9), opted_out(999, 7));  // this node is the root
   EXPECT_EQ(h.env.delivered(), std::vector<std::uint64_t>{7});
+  h.receive(nd(500, 9), opted_out(2001, 8));  // node 1 is the root
+  const auto sent = h.env.drain();
+  ASSERT_EQ(sent.size(), 1u);  // the forward; no ack for either lookup
+  EXPECT_EQ(sent[0].to, 1);
+  const auto& fwd = static_cast<const pastry::LookupMsg&>(*sent[0].msg);
+  EXPECT_EQ(fwd.lookup_id, 8u);
+  EXPECT_FALSE(fwd.wants_ack);
+  EXPECT_EQ(h.node->debug_state().pending_acks, 0u);
 }
 
 TEST(NodeProtocol, ForwardedLookupAwaitsAckThenSettles) {
