@@ -426,6 +426,48 @@ inline JsonEmitter::Row& emit_summary_row(JsonEmitter& out,
       .field("lookups", s.lookups);
 }
 
+/// A multi-shard run's epoch telemetry as row fields: per-shard busy and
+/// barrier-wait time and the single-threaded time between pool epochs
+/// (µs, pool epochs only), the events-per-epoch histogram up to its last
+/// non-empty bucket, and how many epochs ran on the worker pool.
+inline JsonEmitter::Row& emit_epoch_telemetry(
+    JsonEmitter::Row& row, const ShardedSimulator::EpochTelemetry& t) {
+  const auto to_us = [](const std::vector<std::uint64_t>& ns) {
+    std::vector<std::uint64_t> us;
+    for (const std::uint64_t v : ns) us.push_back(v / 1000);
+    return us;
+  };
+  std::size_t n = t.events_per_epoch_log2.size();
+  while (n > 0 && t.events_per_epoch_log2[n - 1] == 0) --n;
+  return row.field("busy_us", to_us(t.busy_ns))
+      .field("barrier_wait_us", to_us(t.wait_ns))
+      .field("serial_us", t.serial_ns / 1000)
+      .field("events_per_epoch_log2",
+             std::vector<std::uint64_t>(
+                 t.events_per_epoch_log2.begin(),
+                 t.events_per_epoch_log2.begin() +
+                     static_cast<std::ptrdiff_t>(n)))
+      .field("pool_epochs", t.pool_epochs);
+}
+
+/// The same telemetry as two indented lines of text.
+inline void print_epoch_telemetry(const ShardedSimulator::EpochTelemetry& t) {
+  std::printf("    pool epochs: %llu  busy ms:",
+              static_cast<unsigned long long>(t.pool_epochs));
+  for (const std::uint64_t v : t.busy_ns) std::printf(" %.1f", v / 1e6);
+  std::printf("  barrier-wait ms:");
+  for (const std::uint64_t v : t.wait_ns) std::printf(" %.1f", v / 1e6);
+  std::printf("  serial ms: %.1f\n", t.serial_ns / 1e6);
+  std::printf("    events/epoch log2 histogram:");
+  for (std::size_t b = 0; b < t.events_per_epoch_log2.size(); ++b) {
+    if (t.events_per_epoch_log2[b] == 0) continue;
+    const std::uint64_t lo = b == 0 ? 0 : std::uint64_t{1} << (b - 1);
+    std::printf(" [%llu+]=%llu", static_cast<unsigned long long>(lo),
+                static_cast<unsigned long long>(t.events_per_epoch_log2[b]));
+  }
+  std::printf("\n");
+}
+
 /// Gnutella-like churn scaled for bench runs.
 inline trace::ChurnTrace bench_gnutella(std::uint64_t seed = 11) {
   return trace::generate_synthetic(

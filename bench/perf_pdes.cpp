@@ -2,10 +2,10 @@
 // Gnutella churn replay on the conservative epoch engine at 1, 2, 4 and
 // 8 shards and records, per shard count: wall-clock, events/sec, epoch
 // count, lookahead, the full run-summary digest, the engine's epoch
-// telemetry (per-shard busy and barrier-wait time, single-threaded time,
-// events-per-epoch histogram) and the epoch barrier's cost per crossing,
-// under a host block (cores, build type, compiler, revision), in
-// BENCH_pdes.json.
+// telemetry (epochs run on the worker pool, per-shard busy and
+// barrier-wait time, single-threaded time, events-per-epoch histogram)
+// and the epoch barrier's cost per crossing, under a host block (cores,
+// build type, compiler, revision), in BENCH_pdes.json.
 //
 // Two gates:
 //   1. Determinism (always on): every shard count must produce the exact
@@ -62,54 +62,40 @@ ShardRun run_sharded(const trace::ChurnTrace& trace, std::size_t shards) {
 }
 
 /// Wall time of one epoch barrier crossing at `shards`: every epoch of
-/// this engine runs one no-op event per shard, so an epoch costs two
-/// crossings plus the single-threaded step between them.
+/// this engine runs the same few no-op events on each shard, at least
+/// kDenseEventsPerEpoch in all so that the epochs go to the worker pool,
+/// so an epoch costs two crossings, those events and the single-threaded
+/// step between the crossings.
 double barrier_ns_per_crossing(std::size_t shards, std::uint64_t epochs) {
   ShardedSimulator eng(shards, 1);
   struct Tick {
     Simulator* sim;
     void operator()() const { sim->schedule_at(sim->now() + 1, Tick{sim}); }
   };
+  const std::size_t ticks_per_shard =
+      (ShardedSimulator::kDenseEventsPerEpoch + eng.shards() - 1) /
+      eng.shards();
   for (std::size_t i = 0; i < eng.shards(); ++i) {
-    eng.shard(i).schedule_at(0, Tick{&eng.shard(i)});
+    for (std::size_t k = 0; k < ticks_per_shard; ++k) {
+      eng.shard(i).schedule_at(0, Tick{&eng.shard(i)});
+    }
   }
   eng.run_until(1000);  // start the pool's threads outside the timing
+  const std::uint64_t pool_before = eng.epoch_telemetry().pool_epochs;
   WallTimer timer;
   eng.run_until(1000 + static_cast<SimTime>(epochs));
-  return timer.seconds() * 1e9 / (2.0 * static_cast<double>(epochs));
-}
-
-std::vector<std::uint64_t> to_us(const std::vector<std::uint64_t>& ns) {
-  std::vector<std::uint64_t> us;
-  for (const std::uint64_t v : ns) us.push_back(v / 1000);
-  return us;
+  const double seconds = timer.seconds();
+  if (eng.epoch_telemetry().pool_epochs - pool_before != epochs) {
+    std::fprintf(stderr, "FATAL: barrier probe ran epochs off the pool\n");
+    std::exit(1);
+  }
+  return seconds * 1e9 / (2.0 * static_cast<double>(epochs));
 }
 
 void print_telemetry(const ShardRun& r) {
-  const auto& t = r.telemetry;
-  if (t.busy_ns.empty()) return;
-  std::printf("    busy ms:");
-  for (const std::uint64_t v : t.busy_ns) std::printf(" %.1f", v / 1e6);
-  std::printf("  barrier-wait ms:");
-  for (const std::uint64_t v : t.wait_ns) std::printf(" %.1f", v / 1e6);
-  std::printf("  serial ms: %.1f  barrier: %.0f ns/crossing\n",
-              t.serial_ns / 1e6, r.barrier_ns_per_crossing);
-  std::printf("    events/epoch log2 histogram:");
-  for (std::size_t b = 0; b < t.events_per_epoch_log2.size(); ++b) {
-    if (t.events_per_epoch_log2[b] == 0) continue;
-    const std::uint64_t lo = b == 0 ? 0 : std::uint64_t{1} << (b - 1);
-    std::printf(" [%llu+]=%llu", (unsigned long long)lo,
-                (unsigned long long)t.events_per_epoch_log2[b]);
-  }
-  std::printf("\n");
-}
-
-/// The histogram up to its last non-empty bucket.
-std::vector<std::uint64_t> histogram(const ShardedSimulator::EpochTelemetry& t) {
-  std::size_t n = t.events_per_epoch_log2.size();
-  while (n > 0 && t.events_per_epoch_log2[n - 1] == 0) --n;
-  return {t.events_per_epoch_log2.begin(),
-          t.events_per_epoch_log2.begin() + static_cast<std::ptrdiff_t>(n)};
+  if (r.telemetry.busy_ns.empty()) return;
+  print_epoch_telemetry(r.telemetry);
+  std::printf("    barrier: %.0f ns/crossing\n", r.barrier_ns_per_crossing);
 }
 
 }  // namespace
@@ -167,16 +153,13 @@ int main(int argc, char** argv) {
   double best_speedup = 1.0;
   std::size_t best_shards = 1;
   for (const ShardRun& r : runs) {
-    emit_summary_row(out, "pdes_shards_" + std::to_string(r.shards), params,
-                     r.summary)
+    auto& row = emit_summary_row(out, "pdes_shards_" + std::to_string(r.shards),
+                                 params, r.summary)
         .field("shards", r.shards)
         .field("effective_shards", r.effective)
         .field("epochs", r.epochs)
-        .field("lookahead_us", r.lookahead)
-        .field("busy_us", to_us(r.telemetry.busy_ns))
-        .field("barrier_wait_us", to_us(r.telemetry.wait_ns))
-        .field("serial_us", r.telemetry.serial_ns / 1000)
-        .field("events_per_epoch_log2", histogram(r.telemetry))
+        .field("lookahead_us", r.lookahead);
+    emit_epoch_telemetry(row, r.telemetry)
         .field("barrier_ns_per_crossing", r.barrier_ns_per_crossing)
         .field("speedup_vs_1",
                r.summary.wall_seconds > 0

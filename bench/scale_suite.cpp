@@ -1,7 +1,8 @@
 // Paper-scale simulation suite: runs N = 10,000-node slices of the
 // fig3/fig4/fig5 experiments on the keyed engine and records, per phase,
-// the wall-clock, event throughput, epoch count and peak RSS that make
-// those runs tractable (slab routing rows, the timer wheel, the
+// the wall-clock, event throughput, epoch count (with the epoch
+// telemetry on multi-shard runs) and peak RSS that make those runs
+// tractable (slab routing rows, the timer wheel, the
 // incremental oracle, the landmark delay oracle). Output lands in
 // BENCH_scale.json;
 // CI runs `--smoke` with thresholds (see --max-rss-mb /
@@ -61,6 +62,7 @@ struct Phase {
   std::size_t shards = 0;        ///< kOverlay only
   std::size_t effective_shards = 0;
   std::uint64_t epochs = 0;
+  ShardedSimulator::EpochTelemetry telemetry;  ///< empty at one shard
   net::DelayCacheStats delay_cache;  ///< overlay phases: oracle telemetry
   RunSummary summary;  ///< zero for trace-only phases
 };
@@ -100,6 +102,7 @@ void emit_phase(JsonEmitter& out, const Phase& p) {
         .field("oracle_bytes", p.delay_cache.oracle_bytes)
         .field("row_cache_bytes", p.delay_cache.row_cache_bytes)
         .field("row_cache_rows", p.delay_cache.cached_rows);
+    if (p.effective_shards > 1) emit_epoch_telemetry(row, p.telemetry);
   }
   std::printf(
       "  %-18s %7.1fs wall  %9.3gM events  %8.3gk ev/s  rss %6.0f MB  "
@@ -119,6 +122,7 @@ void emit_phase(JsonEmitter& out, const Phase& p) {
         p.delay_cache.oracle_bytes / (1024.0 * 1024.0),
         p.delay_cache.row_cache_bytes / (1024.0 * 1024.0),
         static_cast<unsigned long long>(p.delay_cache.cached_rows));
+    if (p.effective_shards > 1) print_epoch_telemetry(p.telemetry);
   }
 }
 
@@ -218,6 +222,7 @@ Phase run_overlay(const std::string& name, const std::string& params,
   p.shards = shards;
   p.effective_shards = driver.effective_shards();
   p.epochs = driver.epochs();
+  p.telemetry = driver.epoch_telemetry();
   if (g_check_hops > 0.0) {
     check_expectations_for(name, driver.trace_domain(), p.live_nodes);
   }

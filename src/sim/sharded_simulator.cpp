@@ -1,5 +1,6 @@
 #include "sim/sharded_simulator.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cassert>
@@ -99,11 +100,19 @@ class EpochBarrier {
 
 }  // namespace
 
-/// Persistent worker threads for the parallel phase. The main thread
-/// executes shard 0 itself; shards 1..S-1 each get a thread. Every epoch
-/// crosses the barrier twice: the first crossing releases the workers
-/// onto their shard with the bound already published, the second hands
-/// control back once every shard is quiescent.
+/// Persistent worker threads for the parallel phase of dense epochs,
+/// started by the first one. The main thread executes shard 0 itself;
+/// shards 1..S-1 each get a thread. Every pool epoch crosses the barrier
+/// twice: the first crossing releases the workers onto their shard with
+/// the bound already published, the second hands control back once every
+/// shard is quiescent.
+///
+/// Between pool epochs the main thread runs every shard inline while the
+/// workers wait at the next start crossing. The same crossings order
+/// those runs: a worker's run of shard i precedes its arrival at the end
+/// crossing, which the main thread leaves before any inline run, and the
+/// inline runs precede the main thread's arrival at the next start
+/// crossing, which the worker leaves before it runs shard i again.
 ///
 /// `bound`, `stop` and the stamps are plain fields. The main thread
 /// writes `bound` and `stop` before it arrives at the first crossing and
@@ -125,7 +134,9 @@ struct ShardedSimulator::Pool {
   SimTime bound = kTimeZero;
   bool stop = false;
   std::vector<Stamp> stamps;
-  std::int64_t prev_last_end_ns = 0;  // 0 until the first epoch completes
+  // End of the previous epoch when it ran on the pool, else 0 (no serial
+  // time to count before this pool epoch).
+  std::int64_t prev_last_end_ns = 0;
   std::vector<std::thread> threads;
 
   explicit Pool(ShardedSimulator& o)
@@ -133,8 +144,6 @@ struct ShardedSimulator::Pool {
         barrier(static_cast<std::uint32_t>(o.sims_.size()),
                 o.sims_.size() <= std::thread::hardware_concurrency()),
         stamps(o.sims_.size()) {
-    owner.telemetry_.busy_ns.assign(o.sims_.size(), 0);
-    owner.telemetry_.wait_ns.assign(o.sims_.size(), 0);
     threads.reserve(o.sims_.size() - 1);
     for (std::size_t i = 1; i < o.sims_.size(); ++i) {
       threads.emplace_back([this, i] { worker(i); });
@@ -167,17 +176,16 @@ struct ShardedSimulator::Pool {
   }
 
   void run(SimTime b) {
-    const std::uint64_t events_before = owner.executed_events();
     bound = b;
     barrier.arrive_and_wait();
     run_shard(0);
     barrier.arrive_and_wait();
-    record(owner.executed_events() - events_before);
+    record();
   }
 
   /// Fold this epoch's stamps into the owner's telemetry (main thread,
   /// every shard quiescent).
-  void record(std::uint64_t events) {
+  void record() {
     EpochTelemetry& t = owner.telemetry_;
     std::int64_t first_start = stamps[0].start_ns;
     std::int64_t last_end = stamps[0].end_ns;
@@ -195,7 +203,6 @@ struct ShardedSimulator::Pool {
       t.serial_ns += static_cast<std::uint64_t>(first_start - prev_last_end_ns);
     }
     prev_last_end_ns = last_end;
-    ++t.events_per_epoch_log2[std::bit_width(events)];
   }
 };
 
@@ -214,6 +221,11 @@ ShardedSimulator::ShardedSimulator(std::size_t shards, SimDuration lookahead)
   for (std::size_t i = 0; i < effective; ++i) {
     sims_.push_back(std::make_unique<Simulator>());
   }
+  next_.assign(effective, kTimeNever);
+  if (effective > 1) {
+    telemetry_.busy_ns.assign(effective, 0);
+    telemetry_.wait_ns.assign(effective, 0);
+  }
 }
 
 ShardedSimulator::~ShardedSimulator() = default;
@@ -231,9 +243,9 @@ std::uint64_t ShardedSimulator::executed_events() const {
 
 SimTime ShardedSimulator::global_min() {
   SimTime m = kTimeNever;
-  for (auto& s : sims_) {
-    const SimTime t = s->next_event_time();
-    if (t < m) m = t;
+  for (std::size_t i = 0; i < sims_.size(); ++i) {
+    next_[i] = sims_[i]->next_event_time();
+    if (next_[i] < m) m = next_[i];
   }
   return m;
 }
@@ -243,8 +255,27 @@ void ShardedSimulator::parallel_run_until(SimTime bound) {
     sims_[0]->run_until(bound);
     return;
   }
-  if (!pool_) pool_ = std::make_unique<Pool>(*this);
-  pool_->run(bound);
+  // A shard with no event by the bound cannot get one during the epoch
+  // (cross-shard work arrives only at the barrier), so next_ says which
+  // shards have work.
+  const auto busy = std::count_if(next_.begin(), next_.end(),
+                                  [bound](SimTime t) { return t <= bound; });
+  const std::uint64_t events_before = executed_events();
+  if (dense_ && busy >= 2) {
+    if (!pool_) pool_ = std::make_unique<Pool>(*this);
+    pool_->run(bound);
+    ++telemetry_.pool_epochs;
+  } else {
+    for (auto& s : sims_) s->run_until(bound);
+    if (pool_) pool_->prev_last_end_ns = 0;
+  }
+  const std::uint64_t events = executed_events() - events_before;
+  ++telemetry_.events_per_epoch_log2[std::bit_width(events)];
+  window_events_ += events;
+  if ((epochs_ + 1) % kDispatchWindow == 0) {  // epochs_ is this epoch's index
+    dense_ = window_events_ >= kDispatchWindow * kDenseEventsPerEpoch;
+    window_events_ = 0;
+  }
 }
 
 void ShardedSimulator::run_until(SimTime until, const BarrierFn& at_barrier) {

@@ -42,6 +42,15 @@ namespace mspastry {
 /// whose buffers are written only by the sending shard's worker needs no
 /// locks either.
 ///
+/// Phase 2 goes to the worker pool only when it is dense enough to pay
+/// for the two crossings: at least two shards have an event before the
+/// bound, and the last completed window of kDispatchWindow epochs
+/// averaged at least kDenseEventsPerEpoch events. Otherwise the main
+/// thread runs every shard's run_until(E - 1) itself, in index order.
+/// Either way each shard executes the same events in the same order, so
+/// the choice cannot change a result; it reads event counts, never a
+/// clock, so it is also deterministic.
+///
 /// Determinism contract: epoch boundaries depend only on the global
 /// minimum pending time and L, both of which are independent of the shard
 /// count, so a caller whose per-shard behaviour is shard-assignment-
@@ -71,6 +80,15 @@ class ShardedSimulator {
   /// single shard; this just sets the barrier-hook cadence).
   static constexpr SimDuration kFallbackEpoch = SimDuration{16384};
 
+  /// The dispatch rule's window, in epochs, and the mean events per epoch
+  /// over the last completed window from which epochs go to the pool.
+  /// An epoch of a few events runs for a few microseconds, about as long
+  /// as the two barrier crossings it would cost (~1–1.5 µs each on a
+  /// 4-vCPU x86 host) plus the CPU the waiting workers spin; DESIGN.md
+  /// "Sparse epochs run on the main thread" has the measurements behind 16.
+  static constexpr std::uint64_t kDispatchWindow = 64;
+  static constexpr std::uint64_t kDenseEventsPerEpoch = 16;
+
   /// Number of shards actually running (1 when the lookahead forced the
   /// single-shard fallback).
   std::size_t shards() const { return sims_.size(); }
@@ -97,10 +115,14 @@ class ShardedSimulator {
   std::uint64_t epochs() const { return epochs_; }
 
   /// Where a multi-shard run's wall time went, derived from two
-  /// steady_clock reads per shard per epoch (around its run_until). A
-  /// single-shard run has no barrier, takes none of these reads and
-  /// leaves everything empty.
+  /// steady_clock reads per shard per pool epoch (around its run_until).
+  /// Epochs run inline on the main thread take no clock reads, so the
+  /// three timings cover pool epochs only; the histogram and pool_epochs
+  /// cover every epoch. A single-shard run has no pool and leaves
+  /// everything empty.
   struct EpochTelemetry {
+    /// Epochs whose parallel phase ran on the worker pool.
+    std::uint64_t pool_epochs = 0;
     /// Per shard: nanoseconds spent inside the epoch's run_until.
     std::vector<std::uint64_t> busy_ns;
     /// Per shard: nanoseconds held at the two barrier crossings while
@@ -108,9 +130,10 @@ class ShardedSimulator {
     /// until the slowest shard finished, plus the lag behind the first
     /// shard released into the next epoch (wake-up latency).
     std::vector<std::uint64_t> wait_ns;
-    /// Nanoseconds from the last shard finishing one epoch to the first
-    /// shard starting the next: the single-threaded phase (barrier hook,
-    /// next minimum) plus the barrier hand-off.
+    /// Nanoseconds from the last shard finishing one pool epoch to the
+    /// first shard starting the next, when that one also runs on the
+    /// pool: the single-threaded phase (barrier hook, next minimum) plus
+    /// the barrier hand-off.
     std::uint64_t serial_ns = 0;
     /// events_per_epoch_log2[b] counts epochs whose executed-event count
     /// n has std::bit_width(n) == b: b = 0 is an empty epoch, b = 1 one
@@ -130,18 +153,25 @@ class ShardedSimulator {
   void run_until(SimTime until, const BarrierFn& at_barrier = {});
 
  private:
-  /// Earliest pending event across all shards (single-threaded).
+  /// Earliest pending event across all shards (single-threaded); keeps
+  /// each shard's next event time in next_.
   SimTime global_min();
-  /// One epoch's parallel phase: every shard runs run_until(bound).
-  /// Dispatches to the worker pool (or runs inline when S == 1).
+  /// One epoch's parallel phase: every shard runs run_until(bound), on
+  /// the worker pool or inline (see the class comment).
   void parallel_run_until(SimTime bound);
 
   std::size_t requested_shards_;
   SimDuration lookahead_;
   std::vector<std::unique_ptr<Simulator>> sims_;
+  std::vector<SimTime> next_;  // per shard, as of the last global_min()
 
   SimTime epoch_end_ = kTimeZero;
   std::uint64_t epochs_ = 0;
+
+  // The dispatch rule's state: events so far in the current window of
+  // kDispatchWindow epochs, and whether the last completed one was dense.
+  std::uint64_t window_events_ = 0;
+  bool dense_ = false;
 
   EpochTelemetry telemetry_;
 

@@ -108,6 +108,50 @@ TEST(ShardedDriver, DigestInvariantAcrossShardCounts) {
   }
 }
 
+TEST(ShardedDriver, DenseLookupLoadRunsOnThePoolWithTheOneShardDigest) {
+  // The other overlay runs here average under two events per epoch, so
+  // the engine runs them on the main thread. A 40 ms LAN link makes each
+  // epoch 80 ms wide and one lookup per node per second fills it: about
+  // half the epochs then go to the worker pool, which runs the shards
+  // concurrently, and the run must still match one shard's bytes. Fault
+  // rules and a dropping adversary put their paths on the workers too.
+  const auto trace = small_trace();
+  DriverConfig cfg = small_config();
+  cfg.lookup_rate_per_node = 1.0;
+  net::NetworkConfig ncfg;
+  ncfg.lan_delay = milliseconds(40);
+  std::uint64_t want = 0;
+  std::uint64_t want_events = 0;
+  for (const std::size_t s : {1u, 2u, 4u}) {
+    ShardedDriver d(topo(), ncfg, cfg, s);
+    d.add_fault_rule(net::FaultRule::loss(net::LinkMatcher::all(), 0.01));
+    d.add_fault_rule(net::FaultRule::duplicate(net::LinkMatcher::all(), 0.005,
+                                               milliseconds(1)));
+    d.add_fault_rule(net::FaultRule::reorder(net::LinkMatcher::all(), 0.02,
+                                             milliseconds(15)));
+    overlay::ShardedAdversaryConfig adv;
+    adv.behavior = overlay::AdversaryBehavior::kDrop;
+    adv.fraction = 0.1;
+    adv.arm_at = minutes(1);
+    adv.seed = 0xadd5a17ull;
+    d.set_adversary(adv);
+    d.run_trace(trace, minutes(3));
+    const std::uint64_t got = digest(d);
+    if (s == 1) {
+      want = got;
+      want_events = d.executed_events();
+      EXPECT_GT(d.metrics().lookups_delivered_correct(), 10'000u);
+      EXPECT_GT(d.packets_dropped_adversarial(), 0u);
+      EXPECT_GT(d.metrics().fault_injections(net::FaultKind::kDuplicate), 0u);
+    } else {
+      EXPECT_EQ(got, want) << "shards=" << s;
+      EXPECT_EQ(d.executed_events(), want_events) << "shards=" << s;
+      EXPECT_GT(d.epoch_telemetry().pool_epochs, 1000u) << "shards=" << s;
+      EXPECT_LT(d.epoch_telemetry().pool_epochs, d.epochs()) << "shards=" << s;
+    }
+  }
+}
+
 TEST(ShardedDriver, PerPairLookaheadMatchesGlobalBoundWithFewerEpochs) {
   // Differential: widening the lookahead from the global min-link bound
   // to the per-shard-pair Topology::min_delay_between bound must change

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -280,35 +281,70 @@ TEST(ShardedSim, PostBeforeRunAndIdleShardsAreHarmless) {
 }
 
 /// Tokens hopping around a ring of actors, one hop per lookahead, all in
-/// lockstep: every epoch carries exactly kRingTokens events, so a run is
-/// almost nothing but barrier crossings. Each token folds its own path
-/// into its own state, so the digest does not depend on the order in
-/// which same-time hops execute.
+/// lockstep on multiples of kL: each epoch is one such instant and runs
+/// one event per token alive then, so a run is almost nothing but epoch
+/// turnovers. Token k hops from tokens[k].start until tokens[k].stop.
+/// Each token folds its own path into its own state, so the digest does
+/// not depend on the order in which same-time hops execute.
 constexpr int kRingActors = 8;
-constexpr int kRingTokens = 2;
+
+struct Token {
+  SimTime start = 0;
+  SimTime stop = kTimeNever;
+};
+
+/// `n` tokens alive over [start, stop).
+std::vector<Token> tokens(std::size_t n, SimTime start = 0,
+                          SimTime stop = kTimeNever) {
+  return std::vector<Token>(n, Token{start, stop});
+}
+
+/// The 2-token ring: ~2 events per epoch, far below the pool's threshold.
+std::vector<Token> sparse_ring() { return tokens(2); }
+
+/// Twice the pool's threshold of events per epoch, for the whole run.
+std::vector<Token> dense_ring() {
+  return tokens(2 * ShardedSimulator::kDenseEventsPerEpoch);
+}
+
+/// One epoch of a raw ring run: its events, and a bit per shard (under
+/// the engine's actor % shards placement) that had one of them.
+struct EpochLoad {
+  std::uint64_t events = 0;
+  std::uint32_t shards = 0;
+};
 
 struct RingRun {
   std::uint64_t events = 0;
   std::uint64_t cross_posts = 0;  // hops between actors on different shards
   std::uint64_t digest = 0;
+  std::vector<EpochLoad> epochs;  // raw runs only
 };
 
 struct Ring {
-  std::array<std::uint64_t, kRingTokens> state{};
+  std::vector<Token> tokens;
+  std::vector<std::uint64_t> state;
   /// hop(token, from_actor, to_actor, at)
   std::function<void(int, int, int, SimTime)> hop;
 
+  explicit Ring(std::vector<Token> t)
+      : tokens(std::move(t)), state(tokens.size(), 0) {}
+
   void arrive(int token, int actor, SimTime t) {
-    std::uint64_t& st = state[static_cast<std::size_t>(token)];
+    const auto k = static_cast<std::size_t>(token);
+    std::uint64_t& st = state[k];
     st = mix64(st ^ (static_cast<std::uint64_t>(actor) << 40) ^
                static_cast<std::uint64_t>(t));
     const int next =
         (actor + 1 + static_cast<int>(st % (kRingActors - 1))) % kRingActors;
-    hop(token, actor, next, t + kL);
+    if (t + kL < tokens[k].stop) hop(token, actor, next, t + kL);
   }
 
   void seed() {
-    for (int k = 0; k < kRingTokens; ++k) hop(k, -1, k, 0);
+    for (std::size_t k = 0; k < tokens.size(); ++k) {
+      hop(static_cast<int>(k), -1, static_cast<int>(k % kRingActors),
+          tokens[k].start);
+    }
   }
 
   std::uint64_t digest() const {
@@ -318,29 +354,40 @@ struct Ring {
   }
 };
 
-/// The ring on the raw simulator; cross_posts counts the hops that would
-/// cross shards under the engine's actor % shards placement.
-RingRun ring_raw(std::size_t shards, SimTime horizon) {
+/// The ring on the raw simulator; cross_posts and epochs assume the
+/// engine's actor % shards placement.
+RingRun ring_raw(std::size_t shards, SimTime horizon,
+                 const std::vector<Token>& toks) {
   Simulator sim;
-  Ring ring;
+  Ring ring(toks);
   RingRun r;
+  std::vector<EpochLoad> loads(static_cast<std::size_t>(horizon / kL) + 1);
   ring.hop = [&](int token, int from, int to, SimTime at) {
-    if (from >= 0 && static_cast<std::size_t>(from) % shards !=
-                         static_cast<std::size_t>(to) % shards) {
+    const std::size_t dst = static_cast<std::size_t>(to) % shards;
+    if (from >= 0 && static_cast<std::size_t>(from) % shards != dst) {
       ++r.cross_posts;
     }
-    sim.schedule_at(at, [&ring, token, to, at] { ring.arrive(token, to, at); });
+    sim.schedule_at(at, [&ring, &loads, dst, token, to, at] {
+      EpochLoad& l = loads[static_cast<std::size_t>(at / kL)];
+      ++l.events;
+      l.shards |= 1u << dst;
+      ring.arrive(token, to, at);
+    });
   };
   ring.seed();
   sim.run_until(horizon);
   r.events = sim.executed_events();
   r.digest = ring.digest();
+  for (const EpochLoad& l : loads) {
+    if (l.events > 0) r.epochs.push_back(l);
+  }
   return r;
 }
 
-RingRun ring_sharded(ShardedSimulator& eng, SimTime horizon) {
+RingRun ring_sharded(ShardedSimulator& eng, SimTime horizon,
+                     const std::vector<Token>& toks) {
   Outbox out(eng);
-  Ring ring;
+  Ring ring(toks);
   RingRun r;
   // One counter per source shard: only that shard's worker writes it.
   std::vector<std::uint64_t> posts(eng.shards(), 0);
@@ -366,45 +413,125 @@ RingRun ring_sharded(ShardedSimulator& eng, SimTime horizon) {
   return r;
 }
 
+/// The engine's dispatch rule replayed on a raw run's epochs: an epoch
+/// goes to the pool when at least two shards have work in it and the
+/// last completed window of kDispatchWindow epochs averaged at least
+/// kDenseEventsPerEpoch events.
+std::uint64_t predicted_pool_epochs(const std::vector<EpochLoad>& epochs) {
+  constexpr std::uint64_t kWindow = ShardedSimulator::kDispatchWindow;
+  std::uint64_t pool = 0;
+  std::uint64_t window_events = 0;
+  bool dense = false;
+  for (std::size_t i = 0; i < epochs.size(); ++i) {
+    if (dense && std::popcount(epochs[i].shards) >= 2) ++pool;
+    window_events += epochs[i].events;
+    if ((i + 1) % kWindow == 0) {
+      dense = window_events >= kWindow * ShardedSimulator::kDenseEventsPerEpoch;
+      window_events = 0;
+    }
+  }
+  return pool;
+}
+
+std::uint64_t histogram_total(const ShardedSimulator::EpochTelemetry& t) {
+  return std::accumulate(t.events_per_epoch_log2.begin(),
+                         t.events_per_epoch_log2.end(), std::uint64_t{0});
+}
+
 TEST(ShardedSim, HundredThousandNearEmptyEpochsMatchRawSimulator) {
-  // Barrier stress: ~100k epochs of two events each, at 2 and 4 shards.
+  // ~100k epochs of two events each, at 2 and 4 shards: too sparse for
+  // the pool, so the main thread runs every one and takes no clock read.
   constexpr SimTime kRingHorizon = 100'000 * kL;
   for (const std::size_t s : {2u, 4u}) {
-    const RingRun want = ring_raw(s, kRingHorizon);
+    const RingRun want = ring_raw(s, kRingHorizon, sparse_ring());
     ASSERT_GT(want.cross_posts, 100'000u);
     ShardedSimulator eng(s, kL);
-    const RingRun got = ring_sharded(eng, kRingHorizon);
+    const RingRun got = ring_sharded(eng, kRingHorizon, sparse_ring());
     EXPECT_EQ(got.events, want.events) << "shards=" << s;
     EXPECT_EQ(got.cross_posts, want.cross_posts) << "shards=" << s;
     EXPECT_EQ(got.digest, want.digest) << "shards=" << s;
     EXPECT_GE(eng.epochs(), 100'000u) << "shards=" << s;
+    EXPECT_EQ(want.epochs.size(), eng.epochs()) << "shards=" << s;
 
-    // Every epoch ran exactly kRingTokens events: all in bucket 2.
+    // Every epoch ran exactly two events: all in bucket 2.
     const auto& t = eng.epoch_telemetry();
     EXPECT_EQ(t.events_per_epoch_log2[2], eng.epochs()) << "shards=" << s;
-    EXPECT_EQ(std::accumulate(t.events_per_epoch_log2.begin(),
-                              t.events_per_epoch_log2.end(), std::uint64_t{0}),
-              eng.epochs())
+    EXPECT_EQ(histogram_total(t), eng.epochs()) << "shards=" << s;
+    EXPECT_EQ(t.pool_epochs, 0u) << "shards=" << s;
+    EXPECT_EQ(t.busy_ns, std::vector<std::uint64_t>(s, 0)) << "shards=" << s;
+    EXPECT_EQ(t.wait_ns, std::vector<std::uint64_t>(s, 0)) << "shards=" << s;
+    EXPECT_EQ(t.serial_ns, 0u) << "shards=" << s;
+  }
+}
+
+TEST(ShardedSim, TwentyThousandDensePoolEpochsMatchRawSimulator) {
+  // Barrier stress: a dense ring crosses the pool's barrier twice per
+  // epoch for over 20k epochs, at 2 and 4 shards.
+  constexpr SimTime kRingHorizon = 20'500 * kL;
+  for (const std::size_t s : {2u, 4u}) {
+    const RingRun want = ring_raw(s, kRingHorizon, dense_ring());
+    ShardedSimulator eng(s, kL);
+    const RingRun got = ring_sharded(eng, kRingHorizon, dense_ring());
+    EXPECT_EQ(got.events, want.events) << "shards=" << s;
+    EXPECT_EQ(got.cross_posts, want.cross_posts) << "shards=" << s;
+    EXPECT_EQ(got.digest, want.digest) << "shards=" << s;
+
+    const auto& t = eng.epoch_telemetry();
+    EXPECT_GE(t.pool_epochs, 20'000u) << "shards=" << s;
+    EXPECT_EQ(t.pool_epochs, predicted_pool_epochs(want.epochs))
         << "shards=" << s;
+    EXPECT_EQ(histogram_total(t), eng.epochs()) << "shards=" << s;
     ASSERT_EQ(t.busy_ns.size(), s);
     ASSERT_EQ(t.wait_ns.size(), s);
     for (std::size_t i = 0; i < s; ++i) {
       EXPECT_GT(t.busy_ns[i], 0u) << "shards=" << s << " shard " << i;
     }
+    EXPECT_GT(t.serial_ns, 0u) << "shards=" << s;
+  }
+}
+
+TEST(ShardedSim, PoolRunsOnlyTheDensePhase) {
+  // Sparse, dense, sparse: 2 tokens throughout, and 4·K more in the
+  // middle third. The pool takes the dense phase one window late and
+  // hands the last sparse phase back one window late.
+  constexpr SimTime kDenseFrom = 3'000 * kL;
+  constexpr SimTime kDenseTo = 6'000 * kL;
+  constexpr SimTime kRingHorizon = 9'000 * kL;
+  std::vector<Token> toks = sparse_ring();
+  const std::vector<Token> burst = tokens(
+      4 * ShardedSimulator::kDenseEventsPerEpoch, kDenseFrom, kDenseTo);
+  toks.insert(toks.end(), burst.begin(), burst.end());
+  constexpr std::uint64_t kWindow = ShardedSimulator::kDispatchWindow;
+  for (const std::size_t s : {2u, 4u}) {
+    const RingRun want = ring_raw(s, kRingHorizon, toks);
+    ShardedSimulator eng(s, kL);
+    const RingRun got = ring_sharded(eng, kRingHorizon, toks);
+    EXPECT_EQ(got.events, want.events) << "shards=" << s;
+    EXPECT_EQ(got.cross_posts, want.cross_posts) << "shards=" << s;
+    EXPECT_EQ(got.digest, want.digest) << "shards=" << s;
+    EXPECT_EQ(want.epochs.size(), eng.epochs()) << "shards=" << s;
+
+    const auto& t = eng.epoch_telemetry();
+    EXPECT_EQ(t.pool_epochs, predicted_pool_epochs(want.epochs))
+        << "shards=" << s;
+    // 3,000 dense epochs, give or take the window's lag at either end.
+    const std::uint64_t dense_epochs = (kDenseTo - kDenseFrom) / kL;
+    EXPECT_GE(t.pool_epochs, dense_epochs - 2 * kWindow) << "shards=" << s;
+    EXPECT_LE(t.pool_epochs, dense_epochs + kWindow) << "shards=" << s;
+    EXPECT_EQ(histogram_total(t), eng.epochs()) << "shards=" << s;
   }
 }
 
 TEST(ShardedSim, SingleShardRunRecordsNoEpochTelemetry) {
   ShardedSimulator eng(1, kL);
-  const RingRun got = ring_sharded(eng, 1000 * kL);
+  const RingRun got = ring_sharded(eng, 1000 * kL, dense_ring());
   EXPECT_GT(got.events, 1000u);
   const auto& t = eng.epoch_telemetry();
+  EXPECT_EQ(t.pool_epochs, 0u);
   EXPECT_TRUE(t.busy_ns.empty());
   EXPECT_TRUE(t.wait_ns.empty());
   EXPECT_EQ(t.serial_ns, 0u);
-  EXPECT_EQ(std::accumulate(t.events_per_epoch_log2.begin(),
-                            t.events_per_epoch_log2.end(), std::uint64_t{0}),
-            0u);
+  EXPECT_EQ(histogram_total(t), 0u);
 }
 
 TEST(ShardedSim, OversubscribedPoolCompletes) {
@@ -413,31 +540,33 @@ TEST(ShardedSim, OversubscribedPoolCompletes) {
   const unsigned hw = std::thread::hardware_concurrency();
   const std::size_t s = std::max(2u, std::min(hw + 1, 8u));
   constexpr SimTime kRingHorizon = 20'000 * kL;
-  const RingRun want = ring_raw(s, kRingHorizon);
+  const RingRun want = ring_raw(s, kRingHorizon, dense_ring());
   ShardedSimulator eng(s, kL);
   ASSERT_EQ(eng.shards(), s);
-  const RingRun got = ring_sharded(eng, kRingHorizon);
+  const RingRun got = ring_sharded(eng, kRingHorizon, dense_ring());
   EXPECT_EQ(got.events, want.events) << "shards=" << s;
   EXPECT_EQ(got.cross_posts, want.cross_posts) << "shards=" << s;
   EXPECT_EQ(got.digest, want.digest) << "shards=" << s;
+  EXPECT_GT(eng.epoch_telemetry().pool_epochs, 0u) << "shards=" << s;
 }
 
 TEST(ShardedSim, DestroyingAPoolParkedAtEpochStartJoins) {
   // After run_until returns, the workers wait at the next epoch's start
   // crossing; past the spin budget they park. Destruction must wake and
   // join them.
+  constexpr SimTime kRingHorizon = 200 * kL;
   for (const std::size_t s : {2u, 4u}) {
+    const RingRun want = ring_raw(s, kRingHorizon, dense_ring());
     for (int round = 0; round < 3; ++round) {
-      std::vector<int> fired(s, 0);  // one slot per shard's thread
+      RingRun got;
       {
         ShardedSimulator eng(s, kL);
-        for (std::size_t i = 0; i < s; ++i) {
-          eng.shard(i).schedule_at(10, [&fired, i] { ++fired[i]; });
-        }
-        eng.run_until(1000);
+        got = ring_sharded(eng, kRingHorizon, dense_ring());
+        EXPECT_GT(eng.epoch_telemetry().pool_epochs, 0u) << "shards=" << s;
         std::this_thread::sleep_for(std::chrono::milliseconds(5));
       }
-      EXPECT_EQ(fired, std::vector<int>(s, 1)) << "shards=" << s;
+      EXPECT_EQ(got.digest, want.digest) << "shards=" << s;
+      EXPECT_EQ(got.events, want.events) << "shards=" << s;
     }
   }
 }
